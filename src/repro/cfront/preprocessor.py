@@ -244,11 +244,13 @@ class IncludeResolver:
         self.include_dirs = list(include_dirs or [])
         self.virtual_files = dict(virtual_files or {})
         self.use_builtin_headers = use_builtin_headers
-        #: Raw token streams per (filename, text hash, tolerant): headers
-        #: are tokenized once per project instead of once per including
-        #: unit.  Safe because tokens are never mutated downstream — the
-        #: preprocessor builds *new* tokens for macro expansions.
-        self.token_cache: dict[tuple, list] = {}
+        #: Raw token streams of included files, one entry per filename
+        #: holding ``(text, tolerant, tokens)``: headers are tokenized
+        #: once per project instead of once per including unit, and an
+        #: edited header replaces its entry.  Safe because tokens are
+        #: never mutated downstream — the preprocessor builds *new*
+        #: tokens for macro expansions.
+        self.token_cache: dict[str, tuple[str, bool, list]] = {}
 
     def resolve(
         self, name: str, angled: bool, including_file: str
@@ -335,17 +337,21 @@ class Preprocessor:
             )
         from .lexer import Lexer
 
-        cache = getattr(self.resolver, "token_cache", None)
-        key = None
+        # Only included files are cached: a main unit is lexed once per
+        # compile anyway, and caching every edited revision of it would
+        # grow a long-lived workspace without bound.
+        cache = getattr(self.resolver, "token_cache", None) \
+            if self._include_depth else None
         tokens = None
         if cache is not None:
-            key = (source.filename, len(source.text), hash(source.text),
-                   self.tolerant)
-            tokens = cache.get(key)
+            cached = cache.get(source.filename)
+            if cached is not None and cached[0] == source.text \
+                    and cached[1] == self.tolerant:
+                tokens = cached[2]
         if tokens is None:
             tokens = Lexer(source, tolerant=self.tolerant).tokens()
             if cache is not None:
-                cache[key] = tokens
+                cache[source.filename] = (source.text, self.tolerant, tokens)
         out: list[Token] = []
         conditionals: list[_ConditionalState] = []
         i = 0

@@ -5,16 +5,30 @@ Merges many object files into one "executable" database: global symbols
 for the same global are concatenated, and all indexing information is
 recomputed (§4: "During this process we must recompute indexing
 information").  The output uses the identical format, flagged as linked.
+
+Two links share one set of merge rules (:class:`Linker`): the disk link
+writes the executable database, and the in-memory link builds the same
+database as a :class:`~repro.cla.store.MemoryStore` from decoded object
+files (:class:`UnitSection`) that the serve daemon keeps per live unit
+(:class:`SectionCache`), so an edit decodes only the changed unit and
+nothing is written or re-read.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable
 
 from ..ir.lower import UnitIR
+from ..ir.objects import ObjectKind, ProgramObject
+from ..ir.primitives import CallSiteRecord, FunctionRecord, PrimitiveAssignment
 from .reader import ObjectFileReader
-from .store import MemoryStore, merge_unit_signatures
+from .store import (
+    Block,
+    MemoryStore,
+    merge_object,
+    signature_of,
+    wider_indirect,
+)
 from .writer import ObjectFileWriter
 
 
@@ -22,151 +36,184 @@ class LinkError(Exception):
     """Incompatible inputs (e.g. mixed struct models)."""
 
 
-# ---------------------------------------------------------------------------
-# Per-unit constraint signatures (content-hash identity)
-# ---------------------------------------------------------------------------
+class UnitSection:
+    """One object file decoded into memory: everything a link reads of it.
 
-
-def unit_content_hash(path: str) -> str:
-    """Content-hash identity of one object file (its bytes, not its path).
-
-    Two object files with the same hash carry the same constraints, so a
-    unit's signature can be cached across relinks under this key."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()[:24]
-
-
-def unit_signature(path: str) -> frozenset:
-    """One object file's constraint signature, read straight off the
-    reader (never through a live store's ``fetch_*`` seams — signature
-    scans must not touch the serving database at all).
-
-    The fact shapes match :func:`repro.cla.store.constraint_signature`,
-    so per-unit signatures folded through
-    :func:`repro.cla.store.merge_unit_signatures` in link order equal the
-    linked database's store-scan signature.
+    Shared and never mutated — :class:`Linker` copies what it merges — so
+    the serve daemon can keep a unit's section across generations and
+    link it again after every edit to *another* unit.  The constraint
+    signature is computed on first use and kept with the section.
     """
-    facts = set()
-    with ObjectFileReader(path) as reader:
-        for a in reader.static_assignments():
-            facts.add((int(a.kind), a.dst, a.src))
-        for name in reader.block_names():
-            block = reader.load_block(name)
-            if block is None:
+
+    __slots__ = ("path", "field_based", "source_lines", "objects",
+                 "statics", "blocks", "call_sites", "_signature")
+
+    def __init__(self, path: str):
+        with ObjectFileReader(path) as reader:
+            self.path = path
+            self.field_based = reader.field_based
+            self.source_lines = reader.source_lines
+            self.objects: list[ProgramObject] = list(reader.objects())
+            self.statics: list[PrimitiveAssignment] = (
+                reader.static_assignments()
+            )
+            self.blocks: dict[str, Block] = {
+                block.obj.name: block
+                for block in reader.blocks(
+                    {obj.name: obj for obj in self.objects}
+                )
+            }
+            self.call_sites: list[CallSiteRecord] = reader.call_sites()
+        self._signature: frozenset | None = None
+
+    @property
+    def signature(self) -> frozenset:
+        """This unit's constraint signature; folded in link order through
+        :func:`~repro.cla.store.merge_unit_signatures` it equals the
+        linked database's :func:`~repro.cla.store.constraint_signature`."""
+        if self._signature is None:
+            self._signature = signature_of(
+                self.statics, self.blocks.values(), self.call_sites
+            )
+        return self._signature
+
+
+class Linker:
+    """The link phase's one set of merge rules.
+
+    Both links go through it: :func:`link_object_files` writes the result
+    to disk, :func:`link_sections` hands it to a :class:`MemoryStore`.
+    Globals unify by name (:func:`~repro.cla.store.merge_object`), a
+    block's rows concatenate in link order, a function keeps its one
+    definition (two different ones are a :class:`LinkError`), an
+    indirect-call record keeps the widest argument list, and mixing
+    struct models is a :class:`LinkError`.
+
+    Inputs are never mutated: merged objects are copies and every block
+    is a fresh one with its own row list, so a section stays linkable.
+    """
+
+    def __init__(self):
+        self.field_based: bool | None = None
+        self.source_lines = 0
+        self.objects: dict[str, ProgramObject] = {}
+        self.statics: list[PrimitiveAssignment] = []
+        self.call_sites: list[CallSiteRecord] = []
+        self._blocks: dict[str, Block] = {}
+
+    def add(self, section: UnitSection) -> None:
+        if self.field_based is None:
+            self.field_based = section.field_based
+        elif section.field_based != self.field_based:
+            raise LinkError(
+                f"{section.path}: struct model differs from earlier inputs "
+                "(field-based vs field-independent)"
+            )
+        self.source_lines += section.source_lines
+        objects = self.objects
+        for obj in section.objects:
+            objects[obj.name] = merge_object(objects.get(obj.name), obj)
+        self.statics.extend(section.statics)
+        blocks = self._blocks
+        for name, block in section.blocks.items():
+            mine = blocks.get(name)
+            if mine is None:
+                blocks[name] = Block(
+                    obj=block.obj, assignments=list(block.assignments),
+                    function_record=block.function_record,
+                    indirect_record=block.indirect_record,
+                )
                 continue
-            for a in block.assignments:
-                facts.add((int(a.kind), a.dst, a.src))
-            record = block.function_record
-            if record is not None:
-                facts.add(("func", record.function, tuple(record.args),
-                           record.ret, record.variadic))
-            indirect = block.indirect_record
-            if indirect is not None:
-                facts.add(("ind", indirect.pointer, tuple(indirect.args),
-                           indirect.ret))
-        for site in reader.call_sites():
-            facts.add(("call", site.caller, site.target, site.indirect))
-    return frozenset(facts)
+            mine.assignments.extend(block.assignments)
+            if block.function_record is not None:
+                mine.function_record = _merge_function_record(
+                    mine.function_record, block.function_record
+                )
+            if block.indirect_record is not None:
+                mine.indirect_record = wider_indirect(
+                    mine.indirect_record, block.indirect_record
+                )
+        self.call_sites.extend(section.call_sites)
+
+    def _final_blocks(self) -> dict[str, Block]:
+        """The merged blocks, each pointing at its merged object."""
+        for name, block in self._blocks.items():
+            obj = self.objects.get(name)
+            if obj is None:
+                obj = self.objects[name] = ProgramObject(
+                    name=name, kind=ObjectKind.VARIABLE
+                )
+            block.obj = obj
+        return self._blocks
+
+    def write(self, path: str) -> None:
+        """Serialize the linked database (flagged as linked) to ``path``."""
+        writer = ObjectFileWriter(field_based=self.field_based, linked=True)
+        writer.source_lines = self.source_lines
+        writer.blocks = self._final_blocks()
+        writer.objects = self.objects
+        writer.statics = self.statics
+        writer.call_sites = self.call_sites
+        writer.write(path)
+
+    def store(self) -> MemoryStore:
+        """The linked database as an in-memory store (takes ownership)."""
+        blocks = self._final_blocks()
+        return MemoryStore.linked(self.objects, self.statics, blocks,
+                                  self.call_sites)
 
 
-class UnitSignatureIndex:
-    """Content-hash-keyed cache of per-unit constraint signatures.
-
-    The incremental-relink complement of the workspace's object cache: a
-    relink after editing one unit re-reads *that* unit's constraints and
-    serves every other unit's signature from the cache, so computing the
-    new linked signature costs one unit scan, not one database scan.
-
-    ``signature(path, key)`` takes the caller's content key when it has
-    one (the workspace's object files are *named* by content key, so no
-    re-hash is needed); otherwise the file's bytes are hashed.  Entries
-    are evicted oldest-first past ``limit`` (dict insertion order), which
-    bounds a long-lived daemon replaying thousands of edits.
-    """
-
-    def __init__(self, limit: int = 1024):
-        if limit < 1:
-            raise ValueError(f"signature cache limit must be >= 1: {limit}")
-        self.limit = limit
-        self._by_key: dict[str, frozenset] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def signature(self, path: str, key: str | None = None) -> frozenset:
-        if key is None:
-            key = unit_content_hash(path)
-        cached = self._by_key.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        signature = self._by_key[key] = unit_signature(path)
-        while len(self._by_key) > self.limit:
-            self._by_key.pop(next(iter(self._by_key)))
-        return signature
-
-    def merged(
-        self, entries: Iterable[tuple[str, str | None]]
-    ) -> frozenset:
-        """The linked signature of ``(path, content_key)`` units, in link
-        order (the order matters for same-pointer indirect-record ties,
-        exactly as it does in the real link)."""
-        return merge_unit_signatures(
-            self.signature(path, key) for path, key in entries
-        )
+def _link(sections: Iterable[UnitSection]) -> Linker:
+    linker = Linker()
+    for section in sections:
+        linker.add(section)
+    if linker.field_based is None:
+        raise LinkError("no input object files")
+    return linker
 
 
 def link_object_files(paths: Iterable[str], output_path: str) -> None:
     """Link object files from disk into one executable database."""
-    paths = list(paths)
-    if not paths:
-        raise LinkError("no input object files")
-    writer: ObjectFileWriter | None = None
-    total_lines = 0
-    for path in paths:
-        with ObjectFileReader(path) as reader:
-            if writer is None:
-                writer = ObjectFileWriter(field_based=reader.field_based,
-                                          linked=True)
-            elif writer.field_based != reader.field_based:
-                raise LinkError(
-                    f"{path}: struct model differs from earlier inputs "
-                    "(field-based vs field-independent)"
-                )
-            total_lines += reader.source_lines
-            _absorb_reader(writer, reader)
-    assert writer is not None
-    writer.source_lines = total_lines
-    writer.write(output_path)
+    _link(UnitSection(path) for path in paths).write(output_path)
 
 
-def _absorb_reader(writer: ObjectFileWriter, reader: ObjectFileReader) -> None:
-    for obj in reader.objects():
-        writer._merge_object(obj.name, obj)
-    for a in reader.static_assignments():
-        writer.statics.append(a)
-    writer.call_sites.extend(reader.call_sites())
-    for name in reader.block_names():
-        block = reader.load_block(name)
-        if block is None:
-            continue
-        mine = writer._ensure_block(name)
-        mine.assignments.extend(block.assignments)
-        if block.function_record is not None:
-            _merge_function_record(mine, block.function_record)
-        if block.indirect_record is not None:
-            if (
-                mine.indirect_record is None
-                or len(mine.indirect_record.args)
-                < len(block.indirect_record.args)
-            ):
-                mine.indirect_record = block.indirect_record
+def link_sections(sections: Iterable[UnitSection]) -> MemoryStore:
+    """Link decoded object files in memory: the same database
+    :func:`link_object_files` would write, never serialized."""
+    return _link(sections).store()
 
 
-def _merge_function_record(mine, theirs) -> None:
+class SectionCache:
+    """Decoded object files of the live units, keyed by content key.
+
+    The serve daemon's link input.  :meth:`sections` decodes only the
+    units whose key it does not hold — a unit just compiled, reused from
+    the object cache or restored by an undo — and drops every key not in
+    the current entries, so it holds one decoded copy per live unit.
+    """
+
+    def __init__(self):
+        self._by_key: dict[str, UnitSection] = {}
+
+    def sections(
+        self, entries: Iterable[tuple[str, str]]
+    ) -> list[UnitSection]:
+        """The section of every ``(content_key, object_path)``, in order."""
+        live: dict[str, UnitSection] = {}
+        out = []
+        for key, path in entries:
+            section = live.get(key) or self._by_key.get(key)
+            if section is None:
+                section = UnitSection(path)
+            live[key] = section
+            out.append(section)
+        self._by_key = live
+        return out
+
+
+def _merge_function_record(
+    current: FunctionRecord | None, theirs: FunctionRecord
+) -> FunctionRecord:
     """Merge a duplicate ``function_record`` for one function block.
 
     Two object files may both carry a record for the same function — the
@@ -177,17 +224,15 @@ def _merge_function_record(mine, theirs) -> None:
     come later, so that is a link error (the moral equivalent of
     ``multiple definition of `f'``).
     """
-    if mine.function_record is None:
-        mine.function_record = theirs
-        return
-    current = mine.function_record
+    if current is None:
+        return theirs
     same_shape = (
         len(current.args) == len(theirs.args)
         and current.ret == theirs.ret
         and current.variadic == theirs.variadic
     )
     if same_shape and current.location.brief() == theirs.location.brief():
-        return  # identical definition seen twice: keep the first
+        return current  # identical definition seen twice: keep the first
     raise LinkError(
         f"duplicate definition of function '{current.function}': "
         f"{current.location.brief()} and {theirs.location.brief()}"

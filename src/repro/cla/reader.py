@@ -274,15 +274,39 @@ class ObjectFileReader:
         if not hits:
             return None
         _h, _name_ref, block_offset, _size = hits[0]
-        pos = self._dynamic_base + block_offset
+        return self._block_at(self._dynamic_base + block_offset,
+                              self.find_object)
+
+    def blocks(
+        self, objects: dict[str, ProgramObject]
+    ) -> Iterator[Block]:
+        """Every dynamic block, parsed in index order.
+
+        The whole-file decode the link reads: one sequential pass with no
+        per-block hash or object lookups — each block's object comes from
+        ``objects`` (the decoded global section, by name)."""
+        offset, size = self.sections.get(F.SEC_DYNIDX, (0, 0))
+        if size == 0:
+            return
+        (count,) = F.COUNT.unpack_from(self._map, offset)
+        pos = offset + F.COUNT.size
+        for _ in range(count):
+            _h, _n, block_offset, _s = F.DYNIDX_ENTRY.unpack_from(
+                self._map, pos
+            )
+            yield self._block_at(self._dynamic_base + block_offset,
+                                 objects.get)
+            pos += F.DYNIDX_ENTRY.size
+
+    def _block_at(self, pos: int, find_object) -> Block:
         obj_ref, nassign, flags, _r1, _r2 = F.BLOCK_HEADER.unpack_from(
             self._map, pos
         )
         pos += F.BLOCK_HEADER.size
-        obj = self.find_object(self.strings.get(obj_ref))
+        name = self.strings.get(obj_ref)
+        obj = find_object(name)
         if obj is None:
-            obj = ProgramObject(name=self.strings.get(obj_ref),
-                                kind=ObjectKind.VARIABLE)
+            obj = ProgramObject(name=name, kind=ObjectKind.VARIABLE)
         block = Block(obj=obj)
         for _ in range(nassign):
             a, pos = self._read_assignment(pos)

@@ -27,7 +27,7 @@ three columns (in-core / loaded / in-file) can be produced for either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Protocol
 
 from ..engine.events import EVENTS, BlockLoadEvent, BlockReloadEvent
@@ -61,6 +61,50 @@ class Block:
     assignments: list[PrimitiveAssignment] = field(default_factory=list)
     function_record: FunctionRecord | None = None
     indirect_record: IndirectCallRecord | None = None
+
+
+# ---------------------------------------------------------------------------
+# Link-time merge rules shared by every route that merges units
+# ---------------------------------------------------------------------------
+
+
+def merge_object(
+    existing: ProgramObject | None, obj: ProgramObject
+) -> ProgramObject:
+    """One global seen in several units: keep the richest metadata (a
+    definition beats a tentative declaration; a function-pointer use
+    anywhere marks it).
+
+    Never mutates either input: returns ``existing`` itself when ``obj``
+    adds nothing, else a merged copy.  An input may be shared with
+    another link — the serve daemon's cached per-unit sections are
+    linked once per generation — so writing into it would leak one
+    generation's merge into the next.
+    """
+    if existing is None:
+        return obj
+    location = existing.location
+    if location.is_unknown and not obj.location.is_unknown:
+        location = obj.location
+    type_str, may_point = existing.type_str, existing.may_point
+    if not type_str and obj.type_str:
+        type_str, may_point = obj.type_str, obj.may_point
+    is_funcptr = existing.is_funcptr or obj.is_funcptr
+    if (location is existing.location and type_str == existing.type_str
+            and is_funcptr == existing.is_funcptr):
+        return existing
+    return replace(existing, location=location, type_str=type_str,
+                   may_point=may_point, is_funcptr=is_funcptr)
+
+
+def wider_indirect(
+    current: IndirectCallRecord | None, record: IndirectCallRecord
+) -> IndirectCallRecord:
+    """Indirect-call records for one pointer keep the widest argument
+    list; the first record wins ties (link order)."""
+    if current is None or len(current.args) < len(record.args):
+        return record
+    return current
 
 
 #: Process-wide load accounting (module-level handles stay live across
@@ -272,11 +316,24 @@ def constraint_signature(store: ConstraintStore) -> frozenset:
     one and may seed a warm re-solve.  A delta with removals feeds the
     region-scoped retraction path instead (:func:`diff_signatures`).
     """
+    return signature_of(
+        store.fetch_statics(),
+        (store.fetch_block(name) for name in store.block_names()),
+        store.call_sites(),
+    )
+
+
+def signature_of(
+    statics: Iterable[PrimitiveAssignment],
+    blocks: Iterable[Block | None],
+    call_sites: Iterable[CallSiteRecord],
+) -> frozenset:
+    """The constraint signature of raw database content (static rows,
+    blocks, call sites) — one store's or one decoded object file's."""
     facts = set()
-    for a in store.fetch_statics():
+    for a in statics:
         facts.add((int(a.kind), a.dst, a.src))
-    for name in store.block_names():
-        block = store.fetch_block(name)
+    for block in blocks:
         if block is None:
             continue
         for a in block.assignments:
@@ -289,7 +346,7 @@ def constraint_signature(store: ConstraintStore) -> frozenset:
         if indirect is not None:
             facts.add(("ind", indirect.pointer, tuple(indirect.args),
                        indirect.ret))
-    for site in store.call_sites():
+    for site in call_sites:
         facts.add(("call", site.caller, site.target, site.indirect))
     return frozenset(facts)
 
@@ -359,10 +416,10 @@ def merge_unit_signatures(
     Mirrors the link phase exactly: assignment rows, function records and
     call sites union (duplicate function records are identical or the
     link itself fails), while indirect-call records for the same pointer
-    keep the widest argument list — first unit wins ties, matching
-    :func:`repro.cla.linker._absorb_reader` — so the merge of per-unit
-    signatures (in link order) equals :func:`constraint_signature` of the
-    linked store without ever opening it.
+    keep the widest argument list — first unit wins ties, the same
+    :func:`wider_indirect` rule :class:`repro.cla.linker.Linker` applies
+    — so the merge of per-unit signatures (in link order) equals
+    :func:`constraint_signature` of the linked store without scanning it.
     """
     merged: set = set()
     indirect: dict[str, tuple] = {}
@@ -395,21 +452,36 @@ class MemoryStore:
         for unit in units:
             self._absorb(unit)
 
+    @classmethod
+    def linked(
+        cls,
+        objects: dict[str, ProgramObject],
+        statics: list[PrimitiveAssignment],
+        blocks: dict[str, Block],
+        call_sites: list[CallSiteRecord],
+    ) -> "MemoryStore":
+        """A store over already-merged link output (the in-memory link,
+        :meth:`repro.cla.linker.Linker.store`); takes ownership."""
+        store = cls(())
+        store.objects = objects
+        store._statics = statics
+        store._blocks = blocks
+        store._call_sites = call_sites
+        for name in objects:
+            store._targets.setdefault(simple_name_of(name), []).append(name)
+        store.stats.in_file = len(statics) + sum(
+            len(block.assignments) for block in blocks.values()
+        )
+        return store
+
     def _absorb(self, unit: UnitIR) -> None:
         for name, obj in unit.objects.items():
             existing = self.objects.get(name)
             if existing is None:
-                self.objects[name] = obj
                 self._targets.setdefault(simple_name_of(name), []).append(name)
-            else:
-                # Linking a global seen in several units: keep the richest
-                # metadata (a definition beats a tentative declaration).
-                if existing.location.is_unknown and not obj.location.is_unknown:
-                    existing.location = obj.location
-                if not existing.type_str and obj.type_str:
-                    existing.type_str = obj.type_str
-                    existing.may_point = obj.may_point
-                existing.is_funcptr = existing.is_funcptr or obj.is_funcptr
+            merged = self.objects[name] = merge_object(existing, obj)
+            if merged is not existing and name in self._blocks:
+                self._blocks[name].obj = merged
         for a in unit.assignments:
             trigger = trigger_object(a)
             if trigger is None:
@@ -422,11 +494,8 @@ class MemoryStore:
             self._ensure_block(fname).function_record = record
         for pname, record in unit.indirect_calls.items():
             block = self._ensure_block(pname)
-            if (
-                block.indirect_record is None
-                or len(block.indirect_record.args) < len(record.args)
-            ):
-                block.indirect_record = record
+            block.indirect_record = wider_indirect(block.indirect_record,
+                                                   record)
         self._call_sites.extend(unit.call_sites)
 
     def absorb_unit(self, unit: UnitIR) -> None:
@@ -490,6 +559,9 @@ class MemoryStore:
 
     def discard(self, assignments_kept: int) -> None:
         self.stats.in_core = assignments_kept
+
+    def close(self) -> None:
+        """Nothing to release (the database-backed store unmaps here)."""
 
     # -- convenience (not part of the protocol) -----------------------------
 

@@ -21,7 +21,13 @@ from ..ir.primitives import (
     PrimitiveKind,
 )
 from . import objfile as F
-from .store import Block, MemoryStore, simple_name_of, trigger_object
+from .store import (
+    Block,
+    merge_object,
+    simple_name_of,
+    trigger_object,
+    wider_indirect,
+)
 
 
 def _ensure_fits_byte(enum_cls) -> None:
@@ -63,33 +69,9 @@ class ObjectFileWriter:
             self._ensure_block(record.function).function_record = record
         for record in unit.indirect_calls.values():
             block = self._ensure_block(record.pointer)
-            if (
-                block.indirect_record is None
-                or len(block.indirect_record.args) < len(record.args)
-            ):
-                block.indirect_record = record
+            block.indirect_record = wider_indirect(block.indirect_record,
+                                                   record)
         self.call_sites.extend(unit.call_sites)
-
-    def add_store(self, store: MemoryStore, source_lines: int = 0) -> None:
-        """Add a merged in-memory database (the link phase)."""
-        self.source_lines += source_lines
-        for name, obj in store.objects.items():
-            self._merge_object(name, obj)
-        for a in store.static_assignments():
-            self.statics.append(a)
-        for name, block in store.blocks().items():
-            mine = self._ensure_block(name)
-            mine.assignments.extend(block.assignments)
-            if block.function_record is not None:
-                mine.function_record = block.function_record
-            if block.indirect_record is not None:
-                if (
-                    mine.indirect_record is None
-                    or len(mine.indirect_record.args)
-                    < len(block.indirect_record.args)
-                ):
-                    mine.indirect_record = block.indirect_record
-        self.call_sites.extend(store.call_sites())
 
     def add_assignment(self, a: PrimitiveAssignment) -> None:
         trigger = trigger_object(a)
@@ -100,15 +82,9 @@ class ObjectFileWriter:
 
     def _merge_object(self, name: str, obj: ProgramObject) -> None:
         existing = self.objects.get(name)
-        if existing is None:
-            self.objects[name] = obj
-            return
-        if existing.location.is_unknown and not obj.location.is_unknown:
-            existing.location = obj.location
-        if not existing.type_str and obj.type_str:
-            existing.type_str = obj.type_str
-            existing.may_point = obj.may_point
-        existing.is_funcptr = existing.is_funcptr or obj.is_funcptr
+        merged = self.objects[name] = merge_object(existing, obj)
+        if merged is not existing and name in self.blocks:
+            self.blocks[name].obj = merged
 
     def _ensure_block(self, name: str) -> Block:
         block = self.blocks.get(name)

@@ -959,6 +959,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         make_http_server,
         serve_jsonl,
     )
+    from ..cla.linker import LinkError
     from .incremental import BuildError, Workspace
 
     c_files = [p for p in args.inputs if p.endswith((".c", ".h"))]
@@ -1015,7 +1016,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         slow_query_ms=args.slow_query_ms,
                         trace_ring=args.trace_ring,
                     )
-            except BuildError as exc:
+            except (BuildError, LinkError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             ticker = None

@@ -186,6 +186,24 @@ class Workspace:
         still compiles (and commits its cache entry), then one
         :class:`BuildError` reports all failures together.
         """
+        object_paths = self.compile(jobs)
+        executable = os.path.join(self.cache_dir, "workspace.cla")
+        if self._executable_stale or self._executable is None \
+                or not os.path.exists(executable):
+            self.pipeline.link_objects(object_paths, executable)
+            self.stats.linked = True
+        self._executable = executable
+        self._executable_stale = False
+        return executable
+
+    def compile(self, jobs: int | None = None) -> list[str]:
+        """The compile half of :meth:`build`: bring every unit's object
+        file up to date without linking; returns the object paths in link
+        order.  The serve daemon links these in memory
+        (:class:`repro.cla.linker.SectionCache`) instead of writing
+        ``workspace.cla``; a later :meth:`build` still links it, since
+        every source change marks the executable stale.
+        """
         jobs = resolve_jobs(jobs)
         self.stats = WorkspaceStats(builds=self.stats.builds + 1)
         changed = False
@@ -212,6 +230,8 @@ class Workspace:
                 pending.append((filename, entry, key, object_path))
                 changed = True
             object_paths.append(object_path)
+        if changed:
+            self._executable_stale = True
         failures: list[tuple[str, Exception]] = []
 
         def commit(filename: str, entry: _SourceEntry, key: str,
@@ -259,24 +279,17 @@ class Workspace:
             raise BuildError(failures)
         if not object_paths:
             raise ValueError("workspace has no sources")
-        executable = os.path.join(self.cache_dir, "workspace.cla")
-        if changed or self._executable_stale or self._executable is None \
-                or not os.path.exists(executable):
-            self.pipeline.link_objects(object_paths, executable)
-            self.stats.linked = True
-        self._executable = executable
-        self._executable_stale = False
-        return executable
+        return object_paths
 
     def object_entries(self) -> list[tuple[str, str, str]]:
         """``(filename, content_key, object_path)`` per source, in link
         order (sorted filenames — the order :meth:`build` links them).
 
-        Valid after a successful :meth:`build`: every entry then has a
-        committed content key and an on-disk object file.  The serving
-        layer feeds these to the content-hash-keyed per-unit signature
-        cache (:class:`repro.cla.linker.UnitSignatureIndex`), so a
-        signature diff after an edit re-reads only the changed units.
+        Valid after a successful :meth:`compile` or :meth:`build`: every
+        entry then has a committed content key and an on-disk object
+        file.  The serving layer feeds these to its content-keyed
+        :class:`repro.cla.linker.SectionCache`, so after an edit only the
+        changed units are decoded.
         """
         entries = []
         for filename in sorted(self._sources):

@@ -31,7 +31,7 @@ from typing import Iterator
 
 from ..cfront import IncludeResolver, parse_c
 from ..cla.cache import BlockCache
-from ..cla.linker import link_object_files
+from ..cla.linker import UnitSection, link_object_files, link_sections
 from ..cla.reader import DatabaseStore
 from ..cla.store import ConstraintStore, MemoryStore
 from ..cla.writer import ObjectFileWriter, write_unit
@@ -340,6 +340,17 @@ class Pipeline:
             link_object_files(object_paths, out_path)
             span.annotate(output=out_path)
         return out_path
+
+    def link_sections(self, sections: list[UnitSection]) -> MemoryStore:
+        """The in-memory link: decoded object files -> the database
+        :meth:`link_objects` would write, as a :class:`MemoryStore`."""
+        with self._stage("link", sections=len(sections)) as span:
+            store = link_sections(sections)
+            span.annotate(
+                objects=len(store.objects),
+                assignments=store.stats.in_file,
+            )
+        return store
 
     def write_executable(self, units: list[UnitIR], out_path: str) -> str:
         """Serialize linked units straight to an executable database."""

@@ -12,10 +12,12 @@ here:
   full query identity *including the database generation*.
 * **Incremental updates.**  An ``update`` request recompiles only the
   changed unit (through the content-keyed
-  :class:`~repro.driver.incremental.Workspace` cache), relinks, and
-  diffs per-unit constraint signatures (computed straight off the object
-  files, cached by content hash — never a scan of the serving store).
-  When the delta is purely additive and the solver supports the resume
+  :class:`~repro.driver.incremental.Workspace` cache), decodes only that
+  unit's object file, and links every live unit's cached section in
+  memory (:class:`~repro.cla.linker.SectionCache`) — no
+  ``workspace.cla`` is written or re-read.  The constraint delta folds
+  the per-section signatures (each computed once, at decode — never a
+  scan of the serving store).  When the delta is purely additive and the solver supports the resume
   seams, the re-solve runs *from the previous fixpoint* by seeding the
   new solver with the old result's translated masks
   (``ingest_fact_masks`` → ``solve_partial`` → ``finish_partial``) —
@@ -31,9 +33,12 @@ here:
 * **No stale answers.**  Every successful reload bumps ``generation``;
   cache keys lead with the generation, so entries from a previous
   database can never be *looked up*, let alone served.  With
-  ``certify=True`` each warm re-solve is checked bit-identical to a cold
-  solve of the same database and validated by the checker oracle;
-  divergence raises :class:`IncrementalSolveError` instead of serving.
+  ``certify=True`` each re-solve is checked bit-identical to a cold
+  solve — in workspace mode of the database the disk link
+  (:func:`~repro.cla.linker.link_object_files`) writes from the same
+  object files, so every certified update also proves memory link ≡
+  disk link — and validated by the checker oracle; divergence raises
+  :class:`IncrementalSolveError` instead of serving.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ import time
 from dataclasses import dataclass, field
 
 from ..checker import check_result
-from ..cla.linker import UnitSignatureIndex
+from ..cla.linker import LinkError, SectionCache
 from ..cla.store import (
     ConstraintStore,
     SignatureDelta,
     constraint_signature,
     diff_signatures,
+    merge_unit_signatures,
 )
 from ..depend.chains import render_all, summarize
 from ..driver.incremental import BuildError, Workspace
@@ -222,7 +228,7 @@ class ServeSession:
         self._store: ConstraintStore | None = None
         self._result: PointsToResult | None = None
         self._signature: frozenset | None = None
-        self._unit_signatures = UnitSignatureIndex()
+        self._sections = SectionCache()
         self._load(prev=None)
 
     # -- lifecycle -----------------------------------------------------------
@@ -248,7 +254,8 @@ class ServeSession:
     ) -> dict:
         """Serve one request; returns the response envelope (sans ``id``).
 
-        Client errors (:class:`ServeError`, :class:`BuildError`) become
+        Client errors (:class:`ServeError`, :class:`BuildError`,
+        :class:`~repro.cla.linker.LinkError`) become
         ``{"ok": false, "error": ...}`` responses; anything else is a
         daemon bug and propagates.  Latency and hit-rate are recorded per
         op and a ``serve.query`` event is emitted either way.
@@ -285,7 +292,7 @@ class ServeSession:
                 else:
                     known = ", ".join(KNOWN_OPS)
                     raise ServeError(f"unknown op {op!r} (known: {known})")
-            except (ServeError, BuildError) as exc:
+            except (ServeError, BuildError, LinkError) as exc:
                 ok, error = False, str(exc)
             wall_ms = (time.perf_counter() - started) * 1000.0
             response = {
@@ -609,35 +616,36 @@ class ServeSession:
             }
             raise
 
-    def _compute_signature(self, store: ConstraintStore) -> frozenset:
-        """The new database's constraint signature.
+    def _open(self) -> tuple[ConstraintStore, frozenset, int, int]:
+        """The new database: ``(store, signature, compiled, reused)``.
 
-        Workspace mode folds *per-unit* signatures (read straight off the
-        object files, cached by content hash) in link order — an update
-        re-reads only the units whose content changed and never touches
-        the serving store's ``fetch_*`` seams.  Database mode has no unit
-        structure to key on, so it scans the linked store (through the
-        uncounted ``fetch_*`` seams, to keep the solvers' load accounting
-        honest).
+        Workspace mode compiles what changed, decodes only the units the
+        section cache does not hold, and links in memory; the signature
+        folds the per-section signatures in link order, so it never
+        touches the serving store's ``fetch_*`` seams.  Database mode
+        opens the linked file and scans it (through the uncounted
+        ``fetch_*`` seams, to keep the solvers' load accounting honest).
         """
-        if self.workspace is not None:
-            return self._unit_signatures.merged(
-                (path, key)
-                for _filename, key, path in self.workspace.object_entries()
-            )
-        return constraint_signature(store)
+        if self.workspace is None:
+            store = self.pipeline.open_database(self.database_path)
+            try:
+                return store, constraint_signature(store), 0, 0
+            except BaseException:
+                store.close()
+                raise
+        self.workspace.compile()
+        stats = self.workspace.stats
+        sections = self._sections.sections(
+            (key, path)
+            for _filename, key, path in self.workspace.object_entries()
+        )
+        store = self.pipeline.link_sections(sections)
+        signature = merge_unit_signatures(s.signature for s in sections)
+        return store, signature, stats.compiled, stats.reused
 
     def _load_inner(self, prev: PointsToResult | None, started: float) -> dict:
-        if self.workspace is not None:
-            path = self.workspace.build()
-            compiled = self.workspace.stats.compiled
-            reused = self.workspace.stats.reused
-        else:
-            path = self.database_path
-            compiled = reused = 0
-        store = self.pipeline.open_database(path)
+        store, signature, compiled, reused = self._open()
         try:
-            signature = self._compute_signature(store)
             mode = "cold"
             delta: SignatureDelta | None = None
             if (
@@ -661,7 +669,7 @@ class ServeSession:
                 result = self.pipeline.analyze(store, self.solver)
             certified = False
             if self.certify:
-                self._certify(path, store, result, mode != "cold")
+                self._certify(store, signature, result, mode != "cold")
                 certified = True
         except BaseException:
             store.close()
@@ -782,29 +790,46 @@ class ServeSession:
 
     def _certify(
         self,
-        path: str,
         store: ConstraintStore,
+        signature: frozenset,
         result: PointsToResult,
         incremental: bool,
     ) -> None:
         """Prove the fixpoint right before serving it.
 
-        An incremental result (warm resume *or* retraction re-solve) is
-        compared bit-for-bit (decoded points-to sets over the union of
-        names) against a cold solve of the same database on a fresh
-        store; every path then runs the checker oracle.  The cold
-        reference uses its own store so its load accounting cannot
-        pollute the serving result's."""
-        if incremental:
-            cold_store = self.pipeline.open_database(path)
+        The reference is a cold solve on a fresh store, so its load
+        accounting cannot pollute the serving result's.  In workspace mode
+        it is the database the disk link writes from the same object files
+        (:meth:`Workspace.build`): its constraint signature must equal the
+        memory link's, and the served points-to sets (over the union of
+        names) must equal its cold solve's, whatever the mode — memory
+        link ≡ disk link and incremental ≡ cold in one check.  In database
+        mode an incremental result is compared against a cold solve of
+        the same file.  Every path then runs the checker oracle on the
+        serving store."""
+        reference_path = None
+        if self.workspace is not None:
+            reference_path = self.workspace.build()
+        elif incremental:
+            reference_path = self.database_path
+        if reference_path is not None:
+            cold_store = self.pipeline.open_database(reference_path)
             try:
+                if self.workspace is not None:
+                    disk = constraint_signature(cold_store)
+                    if disk != signature:
+                        raise IncrementalSolveError(
+                            "in-memory link diverged from the disk link: "
+                            f"{len(signature - disk)} fact(s) only in "
+                            f"memory, {len(disk - signature)} only on disk"
+                        )
                 cold = self.pipeline.analyze(cold_store, self.solver)
             finally:
                 cold_store.close()
             for name in set(result.pts) | set(cold.pts):
                 if result.points_to(name) != cold.points_to(name):
                     raise IncrementalSolveError(
-                        f"incremental re-solve diverged from cold solve at "
+                        f"served fixpoint diverged from the cold solve at "
                         f"{name!r}: got={sorted(result.points_to(name))} "
                         f"cold={sorted(cold.points_to(name))}"
                     )

@@ -189,3 +189,111 @@ class TestLinkUnitsSourceLines:
         link_units([unit_a, unit_b], out)
         with ObjectFileReader(out) as r:
             assert r.source_lines == 5
+
+
+def _fields(store, name):
+    obj = store.get_object(name)
+    return (obj.kind, obj.type_str, obj.location.brief(), obj.may_point,
+            obj.is_funcptr)
+
+
+class TestInMemoryLink:
+    """``link_sections`` builds the database ``link_object_files`` writes,
+    from decoded sections that stay reusable."""
+
+    SOURCES = {
+        "a.c": ("int *g(int *x); int *q, **pp; void (*fp)(void);"
+                "void f(void) { q = g(q); pp = &q; }"),
+        "b.c": ("extern void (*fp)(void); extern int **pp; int t, *r;"
+                "int *g(int *x) { return &t; } void h(void) { fp(); "
+                "r = *pp; }"),
+    }
+
+    def _objects(self, tmp_path):
+        return [compile_to(tmp_path, name, src)
+                for name, src in sorted(self.SOURCES.items())]
+
+    def test_memory_link_equals_disk_link(self, tmp_path):
+        from repro.cla.linker import UnitSection, link_sections
+        from repro.cla.store import (
+            constraint_signature,
+            merge_unit_signatures,
+            simple_name_of,
+        )
+
+        paths = self._objects(tmp_path)
+        out = str(tmp_path / "prog.cla")
+        link_object_files(paths, out)
+        sections = [UnitSection(p) for p in paths]
+        memory = link_sections(sections)
+        with DatabaseStore.open(out) as disk:
+            assert constraint_signature(memory) == constraint_signature(disk)
+            assert merge_unit_signatures(
+                s.signature for s in sections
+            ) == constraint_signature(disk)
+            assert set(memory.object_names()) == set(disk.object_names())
+            for name in disk.object_names():
+                assert _fields(memory, name) == _fields(disk, name), name
+                simple = simple_name_of(name)
+                assert sorted(memory.find_targets(simple)) == \
+                    sorted(disk.find_targets(simple))
+            assert memory.stats.in_file == disk.stats.in_file
+            for name in disk.block_names():
+                mine, theirs = memory.fetch_block(name), disk.fetch_block(name)
+                assert [str(a) for a in mine.assignments] == \
+                    [str(a) for a in theirs.assignments]
+                assert mine.function_record == theirs.function_record
+                assert mine.indirect_record == theirs.indirect_record
+            assert memory.call_sites() == disk.call_sites()
+
+    def test_sections_survive_repeated_links(self, tmp_path):
+        from repro.cla.linker import UnitSection, link_sections
+
+        sections = [UnitSection(p) for p in self._objects(tmp_path)]
+
+        def snapshot():
+            return [
+                ({o.name: (o.location, o.type_str, o.may_point,
+                           o.is_funcptr) for o in s.objects},
+                 {n: len(b.assignments) for n, b in s.blocks.items()},
+                 len(s.statics), len(s.call_sites))
+                for s in sections
+            ]
+
+        before = snapshot()
+        first = link_sections(sections)
+        second = link_sections(sections)
+        assert snapshot() == before
+        # b.c's definition and funcptr use reach the merged objects only.
+        for store in (first, second):
+            assert store.get_object("g$arg1").type_str == "int *"
+            assert store.get_object("fp").is_funcptr
+        assert before[0][0]["g$arg1"][1] == ""
+        assert before[0][0]["fp"][3] is False
+
+    def test_memory_link_rejects_what_disk_link_rejects(self, tmp_path):
+        from repro.cla.linker import UnitSection, link_sections
+
+        a = compile_to(tmp_path, "a.c", "int work(int n) { return n; }")
+        b = compile_to(tmp_path, "b.c", "int work(int n, int m) { return m; }")
+        with pytest.raises(LinkError, match="duplicate definition"):
+            link_sections([UnitSection(a), UnitSection(b)])
+        c = compile_to(tmp_path, "c.c", "int y;", field_based=False)
+        with pytest.raises(LinkError, match="struct model"):
+            link_sections([UnitSection(a), UnitSection(c)])
+        with pytest.raises(LinkError):
+            link_sections([])
+
+    def test_section_cache_keeps_only_live_keys(self, tmp_path):
+        from repro.cla.linker import SectionCache
+
+        a, b = self._objects(tmp_path)
+        cache = SectionCache()
+        first = cache.sections([("ka", a), ("kb", b)])
+        again = cache.sections([("ka", a), ("kb", b)])
+        assert [s is t for s, t in zip(first, again)] == [True, True]
+        (only_a,) = cache.sections([("ka", a)])
+        assert only_a is first[0]
+        last = cache.sections([("ka", a), ("kb", b)])
+        assert last[0] is first[0]
+        assert last[1] is not first[1], "a dropped key decodes again"

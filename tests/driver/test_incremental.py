@@ -93,6 +93,33 @@ class TestCaching:
             workspace.update_source("ghost.c", "int x;")
 
 
+class TestTokenCache:
+    """The shared resolver caches included files' tokens only: a
+    long-lived workspace edited many times holds one entry per header,
+    not one per edited revision of a unit."""
+
+    def test_unit_edits_keep_one_entry_per_header(self, workspace):
+        workspace.build(jobs=1)
+        for i in range(6):
+            workspace.update_source(
+                "b.c", '#include "defs.h"\nint *mine;'
+                       f"void use(void) {{ mine = gp; }} /* rev {i} */"
+            )
+            workspace.build(jobs=1)
+            assert workspace.stats.compiled == 1
+        cache = workspace.options.resolver().token_cache
+        assert sorted(cache) == ["defs.h"]
+
+    def test_header_edit_replaces_its_entry(self, workspace):
+        workspace.build(jobs=1)
+        text = "extern int shared; extern int *gp; extern int more;"
+        workspace.update_header("defs.h", text)
+        workspace.build(jobs=1)
+        cache = workspace.options.resolver().token_cache
+        assert sorted(cache) == ["defs.h"]
+        assert cache["defs.h"][0] == text
+
+
 class TestCorruptCache:
     """A killed process (or anything else) leaving a truncated object at
     a content-keyed cache path must trigger a recompile, not be reused

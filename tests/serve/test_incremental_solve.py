@@ -234,8 +234,10 @@ class TestRandomEditScripts:
     ):
         """Random edit script → the final served fixpoint equals a cold
         solve of the final sources; every intermediate generation is
-        certified (cold bit-identity + oracle, inside the daemon) and
+        linked in memory from cached sections, certified inside the
+        daemon (memory link ≡ disk link, cold bit-identity, oracle) and
         re-checked against the oracle here."""
+        from repro.cla.store import MemoryStore
         from repro.driver.incremental import Workspace
 
         ws = Workspace()  # its own temp dir; hypothesis reruns stay clean
@@ -252,6 +254,7 @@ class TestRandomEditScripts:
                     )
                     assert update["ok"]
                     assert update["result"]["certified"] is True
+                    assert isinstance(session._store, MemoryStore)
                     with pipeline.open_database(ws.build()) as store:
                         report = check_result(
                             store, session._result,

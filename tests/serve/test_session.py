@@ -286,52 +286,140 @@ class TestConstraintSignature:
         ws.close()
 
     def test_per_unit_merge_matches_store_scan(self, tmp_path):
-        """The linked database's scanned signature equals the per-unit
-        signatures folded in link order — the equivalence the serving
-        layer's store-free signature path rests on."""
-        from repro.cla.linker import UnitSignatureIndex
+        """The per-section signatures folded in link order equal the
+        scanned signature of the disk-linked database — the equivalence
+        the serving layer's store-free signature path rests on — and the
+        in-memory link of the same sections scans the same."""
+        from repro.cla.linker import SectionCache, link_sections
+        from repro.cla.store import merge_unit_signatures
         from repro.engine.pipeline import Pipeline
 
         ws = make_workspace(tmp_path)
         pipeline = Pipeline()
-        index = UnitSignatureIndex()
-        for edit in (SOURCE_B_GROWN, SOURCE_B_SHRUNK, SOURCE_B):
+        cache = SectionCache()
+        previous, decoded = [], []
+        for edit in (SOURCE_B_GROWN, SOURCE_B_SHRUNK, SOURCE_B, None):
             path = ws.build()
             with pipeline.open_database(path) as store:
                 scanned = constraint_signature(store)
-            merged = index.merged(
-                (obj, key) for _f, key, obj in ws.object_entries()
+            sections = cache.sections(
+                (key, obj) for _f, key, obj in ws.object_entries()
             )
+            decoded.append(sum(
+                all(s is not p for p in previous) for s in sections
+            ))
+            previous = sections
+            merged = merge_unit_signatures(s.signature for s in sections)
             assert merged == scanned
-            ws.update_source("b.c", edit)
-        assert index.hits > 0, "unchanged units should be cache hits"
+            assert constraint_signature(link_sections(sections)) == scanned
+            if edit is not None:
+                ws.update_source("b.c", edit)
+        # Both units once, then only the edited unit per edit — the undo
+        # back to SOURCE_B decodes again: its entry was dropped when dead.
+        assert decoded == [2, 1, 1, 1]
         ws.close()
 
 
 class TestUpdateSignatureScan:
     def test_update_never_scans_serving_store(self, workspace, monkeypatch):
-        """Signature diffs are computed from per-unit object files, so an
-        update must not fetch a single block from the serving database —
-        even for a solver that can never resume warm (the historical bug:
-        an O(database) signature scan ran before the resume check)."""
-        from repro.cla.reader import DatabaseStore
+        """An update that edits one unit decodes exactly that unit's
+        object file, links in memory and opens no database — even for a
+        solver that can never resume warm — and writes no
+        ``workspace.cla``."""
+        import os
+
+        from repro.cla.reader import DatabaseStore, ObjectFileReader
+        from repro.cla.store import MemoryStore
 
         with ServeSession(workspace=workspace,
                           solver="steensgaard") as session:
-            calls = []
-            original = DatabaseStore.fetch_block
+            opened, stores = [], []
+            reader_init = ObjectFileReader.__init__
+            store_init = DatabaseStore.__init__
 
-            def counted(self, name):
-                calls.append(name)
-                return original(self, name)
+            def counted_reader(self, path):
+                reader_init(self, path)
+                opened.append(path)
 
-            monkeypatch.setattr(DatabaseStore, "fetch_block", counted)
+            def counted_store(self, reader):
+                stores.append(reader.path)
+                store_init(self, reader)
+
+            monkeypatch.setattr(ObjectFileReader, "__init__", counted_reader)
+            monkeypatch.setattr(DatabaseStore, "__init__", counted_store)
             u = session.request("update", {"file": "b.c",
                                            "text": SOURCE_B_GROWN})
             assert u["ok"]
             # Additive delta + non-resumable solver: a plain cold solve.
             assert u["result"]["mode"] == "cold"
-            assert calls == [], "update scanned the serving store"
+            (_a, (_f, _key, b_object)) = workspace.object_entries()
+            assert opened == [b_object], "decode only the edited unit"
+            assert stores == [], "update opened a database"
+            assert isinstance(session._store, MemoryStore)
+            assert not os.path.exists(
+                os.path.join(workspace.cache_dir, "workspace.cla")
+            )
+
+
+class TestInMemoryLink:
+    def test_conflicting_definition_keeps_serving(self, session):
+        """A second, different definition of ``init`` fails the memory
+        link like the disk link; the previous generation keeps serving
+        and the failure is on display."""
+        before = session.generation
+        u = session.request("update", {
+            "file": "c.c",
+            "text": '#include "defs.h"\nvoid init(void) { gp = 0; }',
+        })
+        assert not u["ok"]
+        assert "duplicate definition of function 'init'" in u["error"]
+        assert session.generation == before
+        failure = session.health()["last_failure"]
+        assert failure["generation"] == before
+        assert failure["error"].startswith("LinkError")
+        r = session.request("points-to", {"name": "mine"})
+        assert r["ok"] and r["result"]["points_to"] == {"mine": ["shared"]}
+        # Removing the duplicate recovers.
+        u = session.request("update", {"file": "c.c", "text": ""})
+        assert u["ok"] and session.generation == before + 1
+
+    def test_merge_never_mutates_cached_sections(self, tmp_path):
+        """a.c only declares ``g`` (its ``g$arg1`` has no type there) and
+        defines ``fp``; b.c defines ``g`` and calls through ``fp``.  The
+        link merges b.c's metadata into both objects, and a.c's cached
+        section must read the same after two links."""
+        from repro.driver.incremental import Workspace
+
+        a = ("int *g(int *x); int *q; void (*fp)(void);"
+             "void f(void) { q = g(q); }")
+        b = ("extern void (*fp)(void); int t;"
+             "int *g(int *x) { return &t; } void h(void) { fp(); }")
+        ws = Workspace(cache_dir=str(tmp_path / "cache"))
+        ws.add_source("a.c", a)
+        ws.add_source("b.c", b)
+
+        def fields(section):
+            return {o.name: (o.location, o.type_str, o.may_point,
+                             o.is_funcptr) for o in section.objects}
+
+        try:
+            with ServeSession(workspace=ws, certify=True) as session:
+                (_f, a_key, _p), _b = ws.object_entries()
+                section = session._sections._by_key[a_key]
+                snapshot = fields(section)
+                assert snapshot["g$arg1"][1] == ""
+                assert snapshot["fp"][3] is False
+                for text in (b + " int *more;", b):
+                    u = session.request("update",
+                                        {"file": "b.c", "text": text})
+                    assert u["ok"] and u["result"]["certified"]
+                    assert session._sections._by_key[a_key] is section
+                    assert fields(section) == snapshot
+                    merged = session._store.get_object("g$arg1")
+                    assert merged.type_str == "int *"
+                    assert session._store.get_object("fp").is_funcptr
+        finally:
+            ws.close()
 
 
 class TestTraceRingDisabled:
