@@ -6,7 +6,7 @@ build, and analysis alone runs at MLoC/s rates (§6, Table 3).  This
 bench reproduces the metric end to end: :func:`repro.synth.stream_program`
 streams mini-programs through compile→absorb into one
 :class:`~repro.cla.store.MemoryStore` without ever materializing the
-corpus, then the solve alone is timed, sequentially and sharded.
+corpus, then the solve alone is timed.
 
 The streamed target defaults to ``DEFAULT_TARGET_LINES`` (1.2M source
 lines).  That takes minutes of *compile* time, so CI smoke runs bound it
@@ -21,9 +21,7 @@ per point; the conftest hook lands them in ``BENCH_mloc.json`` and
 import os
 import time
 
-import pytest
-
-from repro.solvers import PreTransitiveSolver, plan_shards, solve_sharded
+from repro.solvers import PreTransitiveSolver
 from repro.synth import DEFAULT_TARGET_LINES, stream_program
 
 PROFILE = "gcc"
@@ -80,38 +78,4 @@ def test_mloc_sequential(benchmark, report):
         f"[mloc] sequential {PROFILE}: loc={info['source_loc']} "
         f"solver_s={info['solver_s']:.3f} "
         f"mloc_per_s={info['mloc_per_s']:.2f}"
-    )
-
-
-@pytest.mark.parametrize("shards", [2])
-def test_mloc_sharded(benchmark, report, shards):
-    run = streamed()
-    plan = plan_shards(run.store, shards)
-    holder = {}
-
-    def solve():
-        start = time.perf_counter()
-        holder["result"] = solve_sharded(
-            run.store, solver=PreTransitiveSolver, shards=shards, plan=plan,
-        )
-        holder["solver_s"] = time.perf_counter() - start
-        return holder["result"]
-
-    benchmark.pedantic(solve, rounds=3, iterations=1)
-    sequential = PreTransitiveSolver(run.store).solve()
-    expected = {k: v for k, v in sequential.pts.items() if v}
-    actual = {k: v for k, v in holder["result"].pts.items() if v}
-    assert actual == expected, "sharded fixpoint differs from sequential"
-    info = _mloc_info(holder, run, holder["solver_s"])
-    info.update({
-        "shards": shards,
-        "regions": plan.regions,
-        "boundary": len(plan.boundary),
-        "identical": True,
-    })
-    benchmark.extra_info.update(info)
-    report.append(
-        f"[mloc] shards={shards} {PROFILE}: loc={info['source_loc']} "
-        f"solver_s={info['solver_s']:.3f} "
-        f"mloc_per_s={info['mloc_per_s']:.2f} regions={plan.regions}"
     )

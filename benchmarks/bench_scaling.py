@@ -59,63 +59,6 @@ def test_scaling_point(benchmark, scale, report):
     )
 
 
-def test_scaling_sharded_largest(benchmark, report):
-    """The largest scaling point, solved through the sharded path.
-
-    Bit-identity with the sequential fixpoint is asserted hard.  The
-    wall-time ratio is recorded (``extra_info``) rather than asserted:
-    a single synthesized program is one strongly-connected flow region,
-    so the partitioner must split it and the whole solution crosses the
-    boundary — the sharded path only wins wall-clock with real cores
-    and closed regions (the streamed huge tier, bench_mloc.py).  The
-    regression gate (bench compare vs the committed baseline) holds the
-    sharded time itself flat instead.
-    """
-    import os
-
-    from repro.solvers import plan_shards, solve_sharded
-
-    scale = SCALES[-1]
-    store_seq = MemoryStore(units_at(scale))
-    t0 = time.perf_counter()
-    sequential = PreTransitiveSolver(store_seq).solve()
-    seq_s = time.perf_counter() - t0
-
-    holder = {}
-
-    def setup():
-        holder["store"] = MemoryStore(units_at(scale))
-        holder["plan"] = plan_shards(holder["store"], 2)
-        return (), {}
-
-    def run():
-        holder["result"] = solve_sharded(
-            holder["store"], solver="pretransitive", shards=2,
-            plan=holder["plan"], processes=0,
-        )
-        return holder["result"]
-
-    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    seq_pts = {k: v for k, v in sequential.pts.items() if v}
-    shard_pts = {k: v for k, v in holder["result"].pts.items() if v}
-    assert shard_pts == seq_pts, "sharded fixpoint differs from sequential"
-    plan = holder["plan"]
-    benchmark.extra_info.update({
-        "sequential_s": seq_s,
-        "regions": plan.regions,
-        "split_regions": plan.split_regions,
-        "boundary": len(plan.boundary),
-        "relations": holder["result"].points_to_relations(),
-        "cpu_count": os.cpu_count(),
-        "identical": True,
-    })
-    report.append(
-        f"[scaling] {PROFILE}@{scale:g} sharded x2: seq={seq_s:.3f}s "
-        f"regions={plan.regions} boundary={len(plan.boundary)} "
-        f"bit-identical=yes"
-    )
-
-
 def test_subquadratic_growth(benchmark, report):
     points = []
     for scale in SCALES:

@@ -56,11 +56,10 @@ def main() -> None:
     print("may_alias(shared, quick.c::use::local):",
           result.may_alias("shared", "quick.c::use::local"))
 
-    # Compare with the other three solvers on the same project.
+    # Compare with the other solvers on the same project.
     print()
     print("solver comparison (same program):")
-    for solver in ("pretransitive", "transitive", "bitvector",
-                   "steensgaard"):
+    for solver in ("pretransitive", "transitive", "steensgaard"):
         r = project.points_to(solver)
         print(f"  {solver:14s} relations={r.points_to_relations()}")
 

@@ -7,7 +7,7 @@ profiles), a struct field model, and one pretransitive toggle combination
 All registered solvers run on the compiled program; then:
 
 * solvers with ``precision == "andersen"`` (pretransitive in both its
-  default and toggled configurations, transitive, bitvector) must agree
+  default and toggled configurations, transitive) must agree
   **exactly**, per object;
 * the over-approximating solvers (steensgaard, onelevel) must report a
   **superset** per object;

@@ -22,7 +22,7 @@ from .linker import (
     link_units,
     link_units_in_memory,
 )
-from .objfile import ClaFormatError, FormatError, name_hash
+from .objfile import ClaFormatError, name_hash
 from .reader import DatabaseStore, ObjectFileReader
 from .store import (
     Block,
@@ -38,7 +38,7 @@ __all__ = [
     "BlockCache", "wrap_store",
     "Linker", "LinkError", "SectionCache", "UnitSection",
     "link_object_files", "link_sections", "link_units", "link_units_in_memory",
-    "ClaFormatError", "FormatError", "name_hash",
+    "ClaFormatError", "name_hash",
     "DatabaseStore", "ObjectFileReader",
     "Block", "ConstraintStore", "LoadStats", "MemoryStore",
     "simple_name_of", "trigger_object",

@@ -91,10 +91,6 @@ class BlockCache:
         """Number of dynamic blocks currently kept in core."""
         return len(self._blocks)
 
-    def retained_assignments(self) -> int:
-        """Dynamic-block assignments currently kept in core."""
-        return self._retained_assignments
-
     def _evict_until(self, needed: int) -> None:
         allowance = self.block_allowance
         if allowance is None:

@@ -138,6 +138,3 @@ class ClaFormatError(Exception):
     a one-line error instead of a traceback.
     """
 
-
-#: Historical name; kept so existing ``except FormatError`` sites work.
-FormatError = ClaFormatError

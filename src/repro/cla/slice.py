@@ -1,17 +1,12 @@
-"""Shard-local constraint stores (ROADMAP item 3: distribute the solve).
+"""Region-local constraint stores for the retraction re-solve.
 
-A :class:`StoreSlice` is the per-worker view of a partitioned database:
-the full object/record metadata (cheap, and every worker needs it for
-relevance tests and §4 funcptr linking) plus only the *assignments* of
-one shard, laid out exactly like a :class:`~repro.cla.store.MemoryStore`
+A :class:`StoreSlice` is a view of a subset of a database's rows: the
+full object/record metadata (cheap, and every solver needs it for
+relevance tests and §4 funcptr linking) plus only the chosen
+*assignments*, laid out exactly like a :class:`~repro.cla.store.MemoryStore`
 — statics (base assignments) and dynamic blocks keyed by trigger object.
-
-Slices are plain picklable data so ``multiprocessing`` workers receive
-them through the same machinery as parallel compiles.  Boundary facts
-arrive as extra synthetic base assignments (``p = &t`` for every ``t``
-currently known to be in ``pts(p)``): ADDR is precisely "``t`` is a base
-element of ``p``", so every solver ingests exchanged points-to deltas
-through its ordinary intake path, no shard-specific seams required.
+:func:`repro.solvers.shard.solve_retracted` cold-solves the dirty
+regions of an edited program through one slice.
 """
 
 from __future__ import annotations
@@ -24,18 +19,16 @@ from ..ir.primitives import (
     FunctionRecord,
     IndirectCallRecord,
     PrimitiveAssignment,
-    PrimitiveKind,
 )
 from .store import Block, ConstraintStore, LoadStats, simple_name_of
 
 
 class StoreSlice:
-    """A ConstraintStore over one shard's rows (picklable, self-contained).
+    """A ConstraintStore over a subset of a store's rows (self-contained).
 
     Blocks exist for every function/indirect-call record holder even when
-    the shard has none of that block's assignments — the funcptr linker
-    demand-loads records by block name from whichever shard discovers the
-    callee.
+    the slice has none of that block's assignments — the funcptr linker
+    demand-loads records by block name when it discovers the callee.
     """
 
     def __init__(
@@ -77,68 +70,6 @@ class StoreSlice:
             block = Block(obj=obj)
             self._blocks[name] = block
         return block
-
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self):
-        return {
-            "objects": self.objects,
-            "statics": self._statics,
-            "block_rows": {
-                name: block.assignments
-                for name, block in self._blocks.items()
-            },
-            "function_records": {
-                name: block.function_record
-                for name, block in self._blocks.items()
-                if block.function_record is not None
-            },
-            "indirect_records": {
-                name: block.indirect_record
-                for name, block in self._blocks.items()
-                if block.indirect_record is not None
-            },
-            "call_sites": self._call_sites,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(
-            state["objects"],
-            state["statics"],
-            state["block_rows"],
-            state["function_records"],
-            state["indirect_records"],
-            state["call_sites"],
-        )
-
-    # -- boundary seeding --------------------------------------------------
-
-    def seed_base_facts(
-        self, facts: Iterable[tuple[str, str]]
-    ) -> int:
-        """Inject boundary points-to facts as synthetic base assignments.
-
-        Each ``(pointer, target)`` becomes an ADDR row in the static
-        section, deduplicated against facts already seeded.  Returns how
-        many rows were added.  Must be called before the solve starts
-        (statics load once).
-        """
-        have = {
-            (a.dst, a.src)
-            for a in self._statics
-            if a.kind is PrimitiveKind.ADDR
-        }
-        added = 0
-        for pointer, target in facts:
-            if (pointer, target) in have:
-                continue
-            have.add((pointer, target))
-            self._statics.append(PrimitiveAssignment(
-                kind=PrimitiveKind.ADDR, dst=pointer, src=target,
-            ))
-            added += 1
-        self.stats.in_file += added
-        return added
 
     # -- ConstraintStore interface ----------------------------------------
 
@@ -187,7 +118,7 @@ def slice_store(
     statics: list[PrimitiveAssignment],
     block_rows: dict[str, list[PrimitiveAssignment]],
 ) -> StoreSlice:
-    """Build one shard's slice from a full store plus its row subset."""
+    """Build a slice from a full store plus a subset of its rows."""
     objects: dict[str, ProgramObject] = {}
     for name in store.object_names():
         obj = store.get_object(name)

@@ -331,7 +331,7 @@ def mloc_headline(doc: dict) -> str | None:
     """The paper's headline metric, from a ``BENCH_mloc.json`` document.
 
     Picks the best point (highest MLoC of source per second of *solver*
-    time) across the suite's sequential and sharded runs; returns None
+    time) across the suite's runs; returns None
     for non-mloc suites or when no point carries the rate.
     """
     if doc.get("suite") != "mloc":

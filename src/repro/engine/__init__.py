@@ -1,17 +1,16 @@
 """The instrumented pipeline engine.
 
 One spine for the whole system (ROADMAP: a single instrumented seam that
-sharding/batching/caching work can land on):
+batching/caching work can land on):
 
 * :mod:`repro.engine.pipeline` — :class:`Pipeline` and
   :class:`AnalysisSession`: compile → link → analyze → depend as named,
   composable, traced stages.  :class:`repro.driver.api.Project` and
   :class:`repro.driver.incremental.Workspace` are thin wrappers over it.
 * :mod:`repro.engine.obs` — spans, tracing, the process-wide
-  :class:`MetricsRegistry`, and the measurement helpers formerly in
-  :mod:`repro.metrics`.
+  :class:`MetricsRegistry`, and the measurement helpers.
 * :mod:`repro.engine.stats` — the uniform :class:`SolverStats` record all
-  five solvers report through :mod:`repro.solvers.base`.
+  four solvers report through :mod:`repro.solvers.base`.
 
 ``pipeline`` is imported lazily: the low layers (``cla``, ``solvers``)
 import ``engine.obs``/``engine.stats``, and ``engine.pipeline`` imports

@@ -140,50 +140,6 @@ class SolverEndEvent(Event):
 
 
 @dataclass(slots=True)
-class ShardBeginEvent(Event):
-    """A sharded solve started: the partition is fixed, workers launch."""
-
-    KIND: ClassVar[str] = "shard.begin"
-
-    solver: str = ""
-    shards: int = 0
-    processes: int = 0  # 0: workers run in-process
-    regions: int = 0  # flow-closed regions found by the unification pass
-    split_regions: int = 0  # oversized regions split across shards
-    boundary_names: int = 0
-    rows: int = 0  # total assignment rows across all shards
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
-class ShardRoundEvent(Event):
-    """One coordinator exchange round: every worker reached a local
-    fixpoint and the boundary points-to deltas were merged."""
-
-    KIND: ClassVar[str] = "shard.round"
-
-    solver: str = ""
-    round: int = 0
-    seeded_facts: int = 0  # boundary (pointer, target) facts fed back in
-    new_facts: int = 0  # facts this round added over the previous one
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
-class ShardMergeEvent(Event):
-    """The per-shard universes merged back into one result (by name)."""
-
-    KIND: ClassVar[str] = "shard.merge"
-
-    solver: str = ""
-    shards: int = 0
-    rounds: int = 0
-    pointers: int = 0  # names with a non-empty merged points-to set
-    relations: int = 0  # total merged points-to bits
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
 class BlockLoadEvent(Event):
     """First-time materialisation of CLA content (pressure totals)."""
 
@@ -578,26 +534,6 @@ class ProgressSink:
         elif kind == "solver.end":
             self._render(
                 f"[analyze {event.solver}] done in {event.rounds} rounds",
-                final=True,
-            )
-        elif kind == "shard.begin":
-            self._solver = event.solver
-            self._render(
-                f"[shard {event.solver}] {event.shards} shards over "
-                f"{event.regions} regions "
-                f"({event.boundary_names} boundary names)"
-            )
-        elif kind == "shard.round":
-            self._render(
-                f"[shard {event.solver}] round {event.round}: "
-                f"{event.seeded_facts} boundary facts "
-                f"(+{event.new_facts})"
-            )
-        elif kind == "shard.merge":
-            self._render(
-                f"[shard {event.solver}] merged {event.shards} shards "
-                f"in {event.rounds} rounds: {event.pointers} pointers, "
-                f"{event.relations} relations",
                 final=True,
             )
         elif kind in ("cla.load", "cla.reload"):

@@ -38,7 +38,7 @@ from ..cla.writer import ObjectFileWriter, write_unit
 from ..depend.analysis import DependenceAnalysis, DependenceResult
 from ..ir.lower import UnitIR, lower_translation_unit
 from ..ir.strength import Strength
-from ..solvers import SOLVERS, solve_sharded
+from ..solvers import SOLVERS
 from ..solvers.base import PointsToResult
 from .events import EVENTS, StageEvent, UnitCompiledEvent
 from .obs import Span, Tracer
@@ -389,18 +389,9 @@ class Pipeline:
         self,
         store: ConstraintStore,
         solver: str = "pretransitive",
-        shards: int = 1,
-        shard_processes: int | None = None,
         **solver_kwargs,
     ) -> PointsToResult:
-        """The analyze phase on any store.
-
-        ``shards > 1`` runs the sharded parallel path
-        (:func:`~repro.solvers.shard.solve_sharded`) — bit-identical to
-        the sequential solver.  ``shard_processes`` follows its
-        ``processes`` argument (``None`` = one process per shard up to
-        the CPU count, ``0`` = in-process workers).
-        """
+        """The analyze phase on any store: one sequential solve."""
         try:
             cls = SOLVERS[solver]
         except KeyError:
@@ -408,14 +399,8 @@ class Pipeline:
             raise ValueError(
                 f"unknown solver {solver!r} (known: {known})"
             ) from None
-        with self._stage("analyze", solver=solver, shards=shards) as span:
-            if shards > 1:
-                result = solve_sharded(
-                    store, solver=solver, shards=shards,
-                    processes=shard_processes, **solver_kwargs,
-                )
-            else:
-                result = cls(store, **solver_kwargs).solve()
+        with self._stage("analyze", solver=solver) as span:
+            result = cls(store, **solver_kwargs).solve()
             span.annotate(**result.stats.counter_fields())
         return result
 
@@ -424,17 +409,12 @@ class Pipeline:
         path: str,
         solver: str = "pretransitive",
         max_core_assignments: int | None = None,
-        shards: int = 1,
-        shard_processes: int | None = None,
         **solver_kwargs,
     ) -> PointsToResult:
         """Open a linked database and run a points-to analysis on it."""
         store = self.open_database(path, max_core_assignments)
         try:
-            return self.analyze(
-                store, solver, shards=shards,
-                shard_processes=shard_processes, **solver_kwargs,
-            )
+            return self.analyze(store, solver, **solver_kwargs)
         finally:
             store.close()
 

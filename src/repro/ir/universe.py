@@ -3,7 +3,7 @@
 The paper's "million lines in a second" rests on a compact solver
 substrate: objects are dense integer ids, graphs are packed adjacency, and
 points-to sets are bit vectors.  This module is that substrate, shared by
-all five solvers:
+all four solvers:
 
 * :class:`ObjectUniverse` — interns canonical names to dense int ids at
   ingest.  Two id spaces exist because they have different densities:
@@ -98,8 +98,8 @@ class CSRGraph:
         """Build from ``(src, dst)`` edges over node ids ``0..n-1``.
 
         Duplicate edges are dropped (first occurrence wins, so per-source
-        order is preserved): linking duplicate-inclined units and shard
-        boundary seams repeat COPY rows, and a repeated edge would both
+        order is preserved): linking duplicate-inclined units repeats
+        COPY rows, and a repeated edge would both
         inflate ``edge_count``/``degree`` and retry the same propagation
         every round.
         """
@@ -222,7 +222,6 @@ class ObjectUniverse:
         "store", "_ids", "names", "_target_ids", "target_names",
         "_may_point", "_decode_cache", "_decode_cache_entries",
         "_function_names", "function_mask", "_temp_counter",
-        "temp_namespace",
     )
 
     def __init__(self, store=None,
@@ -242,10 +241,6 @@ class ObjectUniverse:
         self._function_names: set[str] = set()
         self.function_mask = 0
         self._temp_counter = 0
-        #: Disambiguates ``fresh_temp`` names across universes that will be
-        #: merged by canonical name (shard workers set this to a
-        #: shard-qualified tag; "" keeps the sequential names).
-        self.temp_namespace = ""
 
     # -- node space ------------------------------------------------------
 
@@ -265,16 +260,9 @@ class ObjectUniverse:
         return self.names[i]
 
     def fresh_temp_name(self, prefix: str = "$sl") -> str:
-        """A fresh synthetic temp *name* (store/load split temps, §5).
-
-        The name embeds :attr:`temp_namespace` so two universes with
-        distinct namespaces can never coin the same temp — a bare
-        per-universe counter would let two shard workers both name their
-        (unrelated) first split temp ``$sl1``, and a by-name boundary
-        merge would silently alias them.
-        """
+        """A fresh synthetic temp *name* (store/load split temps, §5)."""
         self._temp_counter += 1
-        return f"{prefix}{self.temp_namespace}{self._temp_counter}"
+        return f"{prefix}{self._temp_counter}"
 
     def fresh_temp(self, prefix: str = "$sl") -> int:
         """A fresh synthetic node (interned :meth:`fresh_temp_name`)."""

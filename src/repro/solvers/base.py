@@ -3,7 +3,7 @@
 Every points-to solver consumes a :class:`~repro.cla.store.ConstraintStore`
 and produces a :class:`PointsToResult`.  Shared here:
 
-* :class:`BaseSolver` — the skeleton all five solvers extend: store +
+* :class:`BaseSolver` — the skeleton all four solvers extend: store +
   uniform :class:`~repro.engine.stats.SolverStats` + function-pointer
   linker + the interned :class:`~repro.ir.universe.ObjectUniverse`,
   id-space full-database ingestion for the non-demand solvers
@@ -18,10 +18,6 @@ and produces a :class:`PointsToResult`.  Shared here:
   mapping may be a plain dict or a :class:`LazyPointsTo` view over solver
   bitmasks; both behave identically (``Mapping`` protocol, equality
   included), so the oracle, tables, report and CLI are agnostic.
-
-The deprecated ``SolverMetrics`` alias of ``SolverStats`` has been
-removed; importing it still works for one release via a module
-``__getattr__`` that raises :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -40,20 +36,6 @@ from ..engine.stats import SolverStats
 from ..ir.objects import ObjectKind, ProgramObject
 from ..ir.primitives import PrimitiveKind
 from ..ir.universe import ConstraintBatch, ObjectUniverse, bitset_words
-
-
-def __getattr__(name: str):
-    if name == "SolverMetrics":
-        import warnings
-
-        warnings.warn(
-            "SolverMetrics is deprecated; use repro.engine.stats.SolverStats"
-            " (removal scheduled for the next release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SolverStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LazyPointsTo(Mapping):
@@ -191,7 +173,7 @@ class PointsToResult:
 
 
 class BaseSolver:
-    """Skeleton shared by all five solvers.
+    """Skeleton shared by all four solvers.
 
     Subclasses consume constraints either through the id-space batch
     (:meth:`_ingest_all_ids`, the non-demand solvers) or by demand-loading
@@ -221,9 +203,9 @@ class BaseSolver:
     _ROUND_EVENT_MASK = 0xFFF
 
     #: Whether this solver implements the partial-solve protocol below
-    #: (solve_partial / ingest_facts / boundary_masks / finish_partial).
-    #: Required for split-region sharding (:mod:`repro.solvers.shard`);
-    #: unification solvers shard by whole regions and never resume.
+    #: (ingest_fact_masks / solve_partial / finish_partial): the serve
+    #: layer's warm reseed after an additive edit.  Unification solvers
+    #: never resume; their edits re-solve through retraction or cold.
     supports_resume = False
 
     def __init__(self, store: ConstraintStore):
@@ -239,32 +221,21 @@ class BaseSolver:
         #: snapshot, for per-round event deltas
         self._round_mark = (0, 0, 0, 0, 0, 0)
 
-    # -- the partial-solve protocol (sharded solving, ROADMAP item 3) ------
+    # -- the partial-solve protocol (serve warm reseed) ----------------------
 
     def solve_partial(self) -> None:
-        """Run to a *local* fixpoint without finalizing the result.
+        """Run to a fixpoint without finalizing the result.
 
         First call seeds from the store; later calls re-drain after
-        :meth:`ingest_facts` added boundary facts.  Only resume-capable
+        :meth:`ingest_fact_masks` added base facts.  Only resume-capable
         solvers implement this.
         """
         raise NotImplementedError(f"{self.name} cannot resume")
 
-    def ingest_facts(self, facts) -> None:
-        """Add exchanged base facts: ``(pointer, target)`` name pairs,
-        each meaning ``target ∈ pts(pointer)`` (a synthetic ADDR)."""
-        raise NotImplementedError(f"{self.name} cannot resume")
-
     def ingest_fact_masks(self, masks: dict[str, int]) -> None:
-        """Bulk form of :meth:`ingest_facts`: per-pointer target
-        bitmasks in *this solver's own* target space.  The shard
-        exchange feeds through this path — one int OR per pointer
-        instead of one call per fact."""
-        raise NotImplementedError(f"{self.name} cannot resume")
-
-    def boundary_masks(self, names) -> dict[str, int]:
-        """Current points-to masks (own target space) of ``names``,
-        nonzero entries only.  Valid after :meth:`solve_partial`."""
+        """Add base facts as per-pointer target bitmasks in *this
+        solver's own* target space: each set bit ``t`` of ``masks[p]``
+        means ``t ∈ pts(p)`` (a synthetic ADDR), one int OR per pointer."""
         raise NotImplementedError(f"{self.name} cannot resume")
 
     def finish_partial(self) -> PointsToResult:
@@ -440,10 +411,6 @@ class FunPtrLinker:
                 block.function_record if block is not None else None
             )
         return self._function_cache[function]
-
-    def is_linkable(self, pointer: str) -> bool:
-        obj = self.store.get_object(pointer)
-        return obj is not None and obj.is_funcptr
 
     def link(self, pointer: str, callees) -> list[tuple[str, str]]:
         """New copy constraints from linking ``pointer``'s callees."""

@@ -276,8 +276,6 @@ class PreTransitiveSolver(BaseSolver):
             self._add_complex("store", dst, src)
         elif kind is PrimitiveKind.STORE_LOAD:
             # *p = *q  ==>  t = *q; *p = t  (§5: "it can be split").
-            # Named through the universe so shard workers get
-            # collision-free (namespace-qualified) temps.
             t = self.universe.fresh_temp_name()
             self._add_complex("load", t, src)
             self._add_complex("store", dst, t)
@@ -463,7 +461,7 @@ class PreTransitiveSolver(BaseSolver):
         return self.finish_partial()
 
     def solve_partial(self) -> None:
-        """Run the Figure 5 loop to a (local) fixpoint; resumable."""
+        """Run the Figure 5 loop to a fixpoint; resumable."""
         if not self._started:
             self._started = True
             self._emit_begin()
@@ -530,14 +528,8 @@ class PreTransitiveSolver(BaseSolver):
             if not self._changed:
                 break
 
-    def ingest_facts(self, facts) -> None:
-        """Boundary facts: ``target ∈ pts(pointer)`` base assignments."""
-        for pointer, target in facts:
-            self._ingest_assignment(PrimitiveKind.ADDR, pointer, target)
-
     def ingest_fact_masks(self, masks: dict[str, int]) -> None:
-        # Bulk ADDR: one base-mask OR per pointer (the exchange hot path
-        # — split shards trade most of the giant region's solution).
+        # Bulk ADDR: one base-mask OR per pointer.
         for pointer, mask in masks.items():
             if not self._may_point(pointer):
                 continue
@@ -548,20 +540,6 @@ class PreTransitiveSolver(BaseSolver):
                 node.cache_token = 0
                 self._changed = True
             self._ensure_loaded(pointer)
-
-    def boundary_masks(self, names) -> dict[str, int]:
-        # Only valid at a fixpoint: _lvals caches are per-round.
-        out = {}
-        nodes = self._nodes
-        find = self._find
-        lvals = self._lvals
-        for name in names:
-            node = nodes.get(name)
-            if node is not None:
-                mask = lvals(find(node))
-                if mask:
-                    out[name] = mask
-        return out
 
     def finish_partial(self) -> PointsToResult:
         self.metrics.constraints = len(self._complex)

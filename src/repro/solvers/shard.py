@@ -1,84 +1,37 @@
-"""Sharded parallel solving (ROADMAP item 3: distribute the analyze phase).
+"""Flow-closed regions and region-scoped retraction.
 
-The CLA database decouples analysis from source precisely so the solve can
-be partitioned (§4).  This module does it in three moves:
+A Steensgaard-style unification pass — union-find over every assignment
+row (``dst ~ src``, ADDR included) plus the §4 function/indirect-call
+plumbing (``f ~ f$argN ~ f$ret``) — groups the database into
+*flow-closed regions* in near-linear time (:func:`plan_regions`).  No
+points-to fact can cross a region boundary: every propagation rule of
+every solver only ever joins names that some row or record relates, so
+each region's fixpoint is computable in isolation.  Rows partition at
+block granularity (every row of a block names the block's trigger, so a
+block is always contained in one region).
 
-**Partition.**  A Steensgaard-style unification pass — union-find over
-every assignment row (``dst ~ src``, ADDR included) plus the §4
-function/indirect-call plumbing (``f ~ f$argN ~ f$ret``) — groups the
-database into *flow-closed regions* in near-linear time.  No points-to
-fact can cross a region boundary: every propagation rule of every solver
-only ever joins names that some row or record relates, so each region's
-fixpoint is computable in isolation.  Rows partition at block granularity
-(every row of a block names the block's trigger, so a block is always
-contained in one region).
-
-**Shard.**  Regions are bin-packed largest-first onto ``shards`` bins.
-The synthetic (and real) workloads have one giant region, so closed
-regions alone cannot balance: for Andersen-precision solvers, any region
-larger than its fair share is *split* across bins in contiguous
-store-order runs of blocks (contiguity keeps def-use chains local, which
-keeps the exchange round count low), and all of its names become the
-**boundary**.  Each worker solves its shard to a local fixpoint and
-reports the boundary slice of its solution as points-to *bitmask deltas*
-— only bits not previously sent, with target names shipped once via
-append-only pool extensions.  The coordinator folds deltas into a global
-boundary view, feeds each worker only the bits it has not yet seen (a
-fed fact becomes a synthetic ``t ∈ pts(p)`` base assignment), and the
-workers *resume* their fixpoints from where they stopped.  Rounds repeat
-until no worker learns anything new: chaotic iteration of a monotone
-system, so the result is the same least fixpoint as the sequential
-solve.  Unification-precision solvers (``steensgaard``, ``onelevel``) do
-not admit fact-level exchange (their join is over node *equivalences*,
-not subset facts), so they shard by whole regions only — still
-bit-identical, since regions are independent, just bounded by the
-largest region's weight.
-
-**Merge.**  Worker id spaces are per-run, so masks come back with each
-worker's target-name table and are remapped through one coordinator
-universe by canonical name; per-name masks union (a name's rows live in
-one shard unless its region was split, in which case every shard agreed
-on the same converged set).  Workers namespace their split temps
-(``$sl<k>.<n>``) so no two shards can coin the same synthetic name.
-
-Workers run as forked ``multiprocessing`` processes wired up with pipes
-— the shard payload crosses into each child via fork, so nothing is
-pickled except the (small) per-round boundary deltas — or in-process
-(``processes=0``), which tests use for determinism and coverage.
+The serving layer uses that independence to retract facts
+(:func:`solve_retracted`): after an edit that removes constraints, only
+the regions a changed fact touches are re-solved cold, every clean
+region keeps its previous masks verbatim, and the two merge by name
+through one universe.  The result is bit-identical to a cold solve.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..cla.slice import StoreSlice, slice_store
+from ..cla.slice import slice_store
 from ..cla.store import ConstraintStore
-from ..engine.events import (
-    EVENTS,
-    ShardBeginEvent,
-    ShardMergeEvent,
-    ShardRoundEvent,
-)
-from ..engine.obs import REGISTRY
 from ..engine.stats import SolverStats
-from ..ir.objects import ProgramObject
 from ..ir.primitives import PrimitiveAssignment, PrimitiveKind
 from ..ir.universe import ObjectUniverse, bitset_words
 from .base import LazyPointsTo, PointsToResult
 
-_SHARD_WORKERS = REGISTRY.counter("solver.shard.workers")
-_SHARD_ROUNDS = REGISTRY.counter("solver.shard.rounds")
-_SHARD_REGIONS = REGISTRY.counter("solver.shard.regions")
-_SHARD_SPLIT_REGIONS = REGISTRY.counter("solver.shard.split_regions")
-_SHARD_BOUNDARY = REGISTRY.counter("solver.shard.boundary_names")
-_SHARD_SEEDED = REGISTRY.counter("solver.shard.seeded_facts")
-
-#: Stats fields summed across workers into the merged result (pure work
-#: counters).  Intern/bitset footprints come from the coordinator
-#: universe; load accounting comes from the coordinator store.
-_SUMMED_STATS = (
+#: Stats fields carried from the dirty-region solve into the merged
+#: result (pure work counters).  Intern/bitset footprints come from the
+#: merge universe; load accounting comes from the store.
+_WORK_STATS = (
     "rounds", "edges_added", "constraints", "cycles_collapsed",
     "lval_queries", "nodes_visited", "funcptr_links", "lvals_cached",
     "cache_hits", "cache_misses", "delta_lvals_processed",
@@ -97,11 +50,6 @@ def _solver_class(solver):
         known = ", ".join(sorted(SOLVERS))
         raise KeyError(f"unknown solver {solver!r} (known: {known})") \
             from None
-
-
-# ---------------------------------------------------------------------------
-# Partitioning: Steensgaard-style unification into flow-closed regions
-# ---------------------------------------------------------------------------
 
 
 class _UnionFind:
@@ -135,53 +83,12 @@ class _UnionFind:
 
 
 @dataclass
-class ShardSpec:
-    """One worker's row subset: statics plus whole blocks by trigger."""
-
-    index: int
-    statics: list[PrimitiveAssignment] = field(default_factory=list)
-    block_rows: dict[str, list[PrimitiveAssignment]] = \
-        field(default_factory=dict)
-    rows: int = 0
-
-
-@dataclass
-class ShardPlan:
-    """The partition: per-shard row subsets plus the explicit boundary.
-
-    ``boundary`` is every name of every split region — the complete set
-    of names through which points-to facts can flow between shards.  A
-    plan with no split regions is *closed*: workers are independent and
-    the exchange loop terminates after one round.
-
-    ``target_pool`` is every address-taken name (ADDR row sources) in
-    deterministic store order.  The target space only ever grows through
-    ADDR sources, so pre-interning this pool gives every worker, the
-    coordinator, and the merge universe *the same* target-bit numbering
-    — exchanged masks and merged masks pass through untranslated.
-    """
-
-    shards: list[ShardSpec]
-    boundary: frozenset[str]
-    regions: int
-    split_regions: int
-    total_rows: int
-    target_pool: tuple[str, ...] = ()
-
-    @property
-    def closed(self) -> bool:
-        return self.split_regions == 0
-
-
-@dataclass
 class RegionPlan:
     """The flow-closed region partition of a live store.
 
-    The shard planner's first move, factored out so it can be reused on
-    its own: the serving layer's retraction path re-solves only the
-    regions a constraint delta touches and keeps every other region's
-    previous masks (sound because no points-to fact can cross a region
-    boundary — the same independence whole-region sharding relies on).
+    The serving layer's retraction path re-solves only the regions a
+    constraint delta touches and keeps every other region's previous
+    masks (sound because no points-to fact can cross a region boundary).
 
     ``region_*`` maps are keyed by the union-find root of each region;
     :meth:`region_of` answers "which region holds this name" without
@@ -192,7 +99,6 @@ class RegionPlan:
     region_blocks: dict[str, list[str]]
     region_statics: dict[str, list[PrimitiveAssignment]]
     region_weight: dict[str, int]
-    region_names: dict[str, list[str]]
     total_rows: int
     target_pool: tuple[str, ...] = ()
 
@@ -228,7 +134,7 @@ def plan_regions(store: ConstraintStore) -> RegionPlan:
     (``f ~ f$argN ~ f$ret``), then one grouping pass by root.  Blocks
     partition whole (every row of a block names its trigger), and the
     address-taken target pool is collected in store order as a side
-    effect — the shared bit numbering every consumer pre-interns.
+    effect — the bit numbering the retraction merge pre-interns.
     """
     uf = _UnionFind()
     target_pool: list[str] = []
@@ -269,292 +175,24 @@ def plan_regions(store: ConstraintStore) -> RegionPlan:
         root = uf.find(a.dst)
         region_statics.setdefault(root, []).append(a)
         region_weight[root] = region_weight.get(root, 0) + 1
-    region_names: dict[str, list[str]] = {}
-    for name in uf.parent:
-        region_names.setdefault(uf.find(name), []).append(name)
 
     return RegionPlan(
         uf=uf,
         region_blocks=region_blocks,
         region_statics=region_statics,
         region_weight=region_weight,
-        region_names=region_names,
         total_rows=sum(region_weight.values()),
         target_pool=tuple(target_pool),
     )
-
-
-def plan_shards(
-    store: ConstraintStore, shards: int, allow_split: bool = True,
-    regions: RegionPlan | None = None,
-) -> ShardPlan:
-    """Partition a store's rows into ``shards`` balanced subsets.
-
-    ``allow_split`` must be False for unification-precision solvers:
-    their per-shard results are only bit-identical when every region
-    stays whole.  ``regions`` reuses an existing :func:`plan_regions`
-    partition instead of re-scanning the store.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if regions is None:
-        regions = plan_regions(store)
-    region_blocks = regions.region_blocks
-    region_statics = regions.region_statics
-    region_weight = regions.region_weight
-    region_names = regions.region_names
-    target_pool = regions.target_pool
-
-    total_rows = regions.total_rows
-    fair_share = max(1, -(-total_rows // shards))  # ceil
-    specs = [ShardSpec(index=i) for i in range(shards)]
-
-    def least_loaded() -> ShardSpec:
-        return min(specs, key=lambda s: (s.rows, s.index))
-
-    boundary: set[str] = set()
-    split_regions = 0
-    # Largest regions first: the classic greedy bin-packing order.
-    order = sorted(region_weight, key=lambda r: -region_weight[r])
-    for root in order:
-        weight = region_weight[root]
-        if allow_split and shards > 1 and weight > fair_share:
-            # Split into contiguous store-order runs: neighbouring
-            # blocks share def-use chains, so contiguous cuts minimise
-            # the facts that must cross shards (and hence exchange
-            # rounds).  Every name in the region can now be referenced
-            # from several shards, so all become boundary.
-            split_regions += 1
-            boundary.update(region_names.get(root, ()))
-            chunk = max(1, -(-weight // shards))  # ceil
-            spec = least_loaded()
-            taken = 0
-            for name in region_blocks.get(root, ()):
-                rows = store.load_block(name).assignments
-                if taken >= chunk:
-                    spec = least_loaded()
-                    taken = 0
-                spec.block_rows[name] = rows
-                spec.rows += len(rows)
-                taken += len(rows)
-            for a in region_statics.get(root, ()):
-                if taken >= chunk:
-                    spec = least_loaded()
-                    taken = 0
-                spec.statics.append(a)
-                spec.rows += 1
-                taken += 1
-        else:
-            spec = least_loaded()
-            for name in region_blocks.get(root, ()):
-                rows = store.load_block(name).assignments
-                spec.block_rows[name] = rows
-                spec.rows += len(rows)
-            spec.statics.extend(region_statics.get(root, ()))
-            spec.rows += len(region_statics.get(root, ()))
-
-    return ShardPlan(
-        shards=specs,
-        boundary=frozenset(boundary),
-        regions=len(region_weight),
-        split_regions=split_regions,
-        total_rows=total_rows,
-        target_pool=tuple(target_pool),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Workers
-# ---------------------------------------------------------------------------
-
-
-class _ShardWorker:
-    """One shard's solver plus its half of the delta-exchange protocol.
-
-    Runs identically in-process and inside a forked worker: the protocol
-    is three calls — :meth:`start` (solve to the first local fixpoint),
-    :meth:`exchange` (ingest fed boundary facts, resume, report what is
-    newly known), :meth:`finish` (final result payload).  Deltas are
-    bitmasks in the *worker's* target space; target names ship exactly
-    once, as append-only pool extensions, so repeated exchanges cost
-    bits, not strings.
-    """
-
-    def __init__(self, payload: dict) -> None:
-        index = payload["index"]
-        slice_ = StoreSlice(
-            objects=payload["objects"],
-            statics=payload["statics"],
-            block_rows=payload["block_rows"],
-            function_records=payload["function_records"],
-            indirect_records=payload["indirect_records"],
-        )
-        cls = _solver_class(payload["solver"])
-        self.solver = cls(slice_, **payload["solver_kwargs"])
-        # Collision-free split temps: $sl<k>.<n> can never collide with
-        # another shard's (or the sequential solve's unqualified) temps.
-        self.solver.universe.temp_namespace = f"{index}."
-        # Pre-intern the shared target pool: every party numbers target
-        # bits identically, so exchanged masks need no translation.
-        target_id = self.solver.universe.target_id
-        pool: tuple[str, ...] = payload["target_pool"]
-        for name in pool:
-            target_id(name)
-        self.index = index
-        self.boundary: tuple[str, ...] = payload["boundary"]
-        self.resume: bool = payload["resume"]
-        self._sent: dict[str, int] = {}
-        self._pool_sent = len(pool)
-        #: coordinator pool bit -> local target-space bit (feed masks
-        #: index the coordinator's pool; the shared prefix is identity,
-        #: stragglers translate once via pool extensions)
-        self._coord_local: list[int] = list(range(len(pool)))
-        self._identity = len(pool)
-        self._result: PointsToResult | None = None
-
-    def start(self) -> dict:
-        if not self.resume:
-            # Closed-plan worker: one shot, nothing to exchange.
-            self._result = self.solver.solve()
-            return {"masks": {}, "pool": []}
-        self.solver.solve_partial()
-        return self._delta()
-
-    def exchange(self, pool_ext: list[str], feeds: dict[str, int]) -> dict:
-        local = self._coord_local
-        target_id = self.solver.universe.target_id
-        for name in pool_ext:
-            lid = target_id(name)
-            if self._identity == len(local) and lid == self._identity:
-                self._identity += 1
-            local.append(lid)
-        identity = self._identity
-        self.solver.ingest_fact_masks({
-            pointer: _remap_mask(mask, local, identity)
-            for pointer, mask in feeds.items()
-        })
-        self.solver.solve_partial()
-        return self._delta()
-
-    def _delta(self) -> dict:
-        """Boundary bits not yet reported, plus new target-pool names."""
-        sent = self._sent
-        masks = {}
-        for name, mask in self.solver.boundary_masks(self.boundary).items():
-            new = mask & ~sent.get(name, 0)
-            if new:
-                sent[name] = mask
-                masks[name] = new
-        names = self.solver.universe.target_names
-        pool_ext = list(names[self._pool_sent:])
-        self._pool_sent = len(names)
-        return {"masks": masks, "pool": pool_ext}
-
-    def finish(self) -> dict:
-        result = self._result
-        if result is None:
-            result = self.solver.finish_partial()
-        return {
-            "index": self.index,
-            "target_names": list(result.pts.universe.target_names),
-            "masks": dict(result.pts.masks()),
-            "stats": {k: getattr(result.stats, k) for k in _SUMMED_STATS},
-        }
-
-
-def _worker_main(conn, payload: dict) -> None:
-    """Forked worker loop: commands in, deltas/results out."""
-    try:
-        worker = _ShardWorker(payload)
-        while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "start":
-                conn.send(("delta", worker.start()))
-            elif cmd == "facts":
-                conn.send(("delta", worker.exchange(msg[1], msg[2])))
-            elif cmd == "finish":
-                conn.send(("result", worker.finish()))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown shard command {cmd!r}")
-    except Exception:  # pragma: no cover - surfaced coordinator-side
-        import traceback
-
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-class _InProcessHandle:
-    """Worker handle running the shard in the coordinator process."""
-
-    def __init__(self, payload: dict) -> None:
-        self._worker = _ShardWorker(payload)
-        self._pending = None
-
-    def send(self, msg: tuple) -> None:
-        worker = self._worker
-        cmd = msg[0]
-        if cmd == "start":
-            self._pending = ("delta", worker.start())
-        elif cmd == "facts":
-            self._pending = ("delta", worker.exchange(msg[1], msg[2]))
-        elif cmd == "finish":
-            self._pending = ("result", worker.finish())
-        else:  # pragma: no cover - protocol misuse
-            raise RuntimeError(f"unknown shard command {cmd!r}")
-
-    def recv(self) -> tuple:
-        pending, self._pending = self._pending, None
-        return pending
-
-    def close(self) -> None:
-        pass
-
-
-class _ProcessHandle:
-    """Worker handle talking to a forked child over a pipe.
-
-    The payload crosses via fork (copy-on-write), not pickling — only
-    the per-round boundary deltas travel the pipe.
-    """
-
-    def __init__(self, ctx, payload: dict) -> None:
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_worker_main, args=(child, payload), daemon=True,
-        )
-        self.proc.start()
-        child.close()
-
-    def send(self, msg: tuple) -> None:
-        self.conn.send(msg)
-
-    def recv(self) -> tuple:
-        kind, data = self.conn.recv()
-        if kind == "error":
-            raise RuntimeError(f"shard worker failed:\n{data}")
-        return kind, data
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        self.proc.join(timeout=10)
-        if self.proc.is_alive():  # pragma: no cover - hung worker
-            self.proc.terminate()
-            self.proc.join(timeout=10)
 
 
 def _remap_mask(mask: int, remap: list[int], identity: int = 0) -> int:
     """Translate a bitmask through a bit -> bit id mapping.
 
     ``identity`` is the length of the mapping's identity prefix
-    (``remap[j] == j`` for all ``j < identity``).  With the shared
-    target pool pre-interned everywhere, essentially every mask falls
-    inside the prefix and passes through untouched.
+    (``remap[j] == j`` for all ``j < identity``).  With the target pool
+    pre-interned on both sides, essentially every mask falls inside the
+    prefix and passes through untouched.
     """
     if mask >> identity == 0:
         return mask
@@ -567,202 +205,6 @@ def _remap_mask(mask: int, remap: list[int], identity: int = 0) -> int:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# The coordinator
-# ---------------------------------------------------------------------------
-
-
-def solve_sharded(
-    store: ConstraintStore,
-    solver: str = "pretransitive",
-    shards: int = 2,
-    processes: int | None = None,
-    plan: ShardPlan | None = None,
-    **solver_kwargs,
-) -> PointsToResult:
-    """Partition ``store``, solve the shards in parallel, merge.
-
-    ``processes=None`` picks ``min(shards, cpu)`` worker processes;
-    ``processes=0`` runs the workers in-process (deterministic, used by
-    tests and tiny inputs).  The result is bit-identical to the
-    sequential ``solver`` on the same store.
-    """
-    cls = _solver_class(solver)
-    allow_split = cls.precision == "andersen" and cls.supports_resume
-    if plan is None:
-        plan = plan_shards(store, shards, allow_split=allow_split)
-    elif not plan.closed and not cls.supports_resume:
-        raise ValueError(
-            f"solver {solver!r} cannot resume; it needs a closed plan "
-            "(plan_shards(..., allow_split=False))"
-        )
-    if processes is None:
-        processes = min(len(plan.shards), os.cpu_count() or 1)
-    if EVENTS:
-        EVENTS.emit(ShardBeginEvent(
-            solver=solver, shards=len(plan.shards), processes=processes,
-            regions=plan.regions, split_regions=plan.split_regions,
-            boundary_names=len(plan.boundary), rows=plan.total_rows,
-        ))
-    _SHARD_REGIONS.add(plan.regions)
-    _SHARD_SPLIT_REGIONS.add(plan.split_regions)
-    _SHARD_BOUNDARY.add(len(plan.boundary))
-
-    shared = _shared_payload(store)
-    boundary = tuple(sorted(plan.boundary))
-    resume = cls.supports_resume and not plan.closed
-    payloads = [
-        {
-            "index": spec.index,
-            "statics": spec.statics,
-            "block_rows": spec.block_rows,
-            "solver": solver,
-            "solver_kwargs": solver_kwargs,
-            "boundary": boundary,
-            "resume": resume,
-            "target_pool": plan.target_pool,
-            **shared,
-        }
-        for spec in plan.shards
-    ]
-    ctx = None
-    if processes > 0:
-        try:
-            # Fork shares the payload copy-on-write; under spawn it
-            # would be pickled per worker, defeating the protocol's
-            # point, so fall back to in-process instead.
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            ctx = None
-
-    handles: list = []
-    try:
-        for payload in payloads:
-            if ctx is not None:
-                handles.append(_ProcessHandle(ctx, payload))
-            else:
-                handles.append(_InProcessHandle(payload))
-        _SHARD_WORKERS.add(len(handles))
-
-        for handle in handles:
-            handle.send(("start",))
-        deltas = {i: h.recv()[1] for i, h in enumerate(handles)}
-
-        # Coordinator-side global boundary view.  The pool starts as the
-        # plan's shared target pool (identical bit numbering in every
-        # worker); per worker: its bit -> pool id remap (grown by pool
-        # extensions, identity over the shared prefix) and the
-        # pool-space masks it already knows.
-        pool_names: list[str] = list(plan.target_pool)
-        pool_ids: dict[str, int] = {
-            name: i for i, name in enumerate(pool_names)
-        }
-        remaps: list[list[int]] = [
-            list(range(len(pool_names))) for _ in handles
-        ]
-        identity = [len(pool_names)] * len(handles)
-        known: list[dict[str, int]] = [{} for _ in handles]
-        pool_sent = [len(pool_names)] * len(handles)
-        global_masks: dict[str, int] = {}
-        rounds = 0
-        while True:
-            rounds += 1
-            new_facts = 0
-            for i, delta in deltas.items():
-                remap = remaps[i]
-                for name in delta["pool"]:
-                    pid = pool_ids.get(name)
-                    if pid is None:
-                        pid = len(pool_names)
-                        pool_ids[name] = pid
-                        pool_names.append(name)
-                    if identity[i] == len(remap) and pid == identity[i]:
-                        identity[i] += 1
-                    remap.append(pid)
-                knows = known[i]
-                for name, mask in delta["masks"].items():
-                    pmask = _remap_mask(mask, remap, identity[i])
-                    new_facts += (
-                        pmask & ~global_masks.get(name, 0)
-                    ).bit_count()
-                    global_masks[name] = global_masks.get(name, 0) | pmask
-                    knows[name] = knows.get(name, 0) | pmask
-            feeds: dict[int, dict[str, int]] = {}
-            fed_facts = 0
-            for i in range(len(handles)):
-                knows = known[i]
-                feed = {}
-                for name, gmask in global_masks.items():
-                    new = gmask & ~knows.get(name, 0)
-                    if new:
-                        feed[name] = new
-                        knows[name] = gmask
-                        fed_facts += new.bit_count()
-                if feed:
-                    feeds[i] = feed
-            _SHARD_ROUNDS.add(1)
-            _SHARD_SEEDED.add(fed_facts)
-            if EVENTS:
-                EVENTS.emit(ShardRoundEvent(
-                    solver=solver, round=rounds,
-                    seeded_facts=fed_facts, new_facts=new_facts,
-                ))
-            if not feeds:
-                break  # global fixpoint: every worker knows every fact
-            for i, feed in feeds.items():
-                pool_ext = pool_names[pool_sent[i]:]
-                pool_sent[i] = len(pool_names)
-                handles[i].send(("facts", pool_ext, feed))
-            deltas = {i: handles[i].recv()[1] for i in feeds}
-
-        for handle in handles:
-            handle.send(("finish",))
-        outputs = [h.recv()[1] for h in handles]
-    finally:
-        for handle in handles:
-            handle.close()
-
-    summed = {k: 0 for k in _SUMMED_STATS}
-    for out in outputs:
-        for k in _SUMMED_STATS:
-            summed[k] += out["stats"][k]
-    return _merge_outputs(
-        store, solver, plan, rounds, outputs, summed,
-    )
-
-
-def _shared_payload(store: ConstraintStore) -> dict:
-    """The store-wide metadata every worker needs (objects + records)."""
-    objects: dict[str, ProgramObject] = {}
-    for name in store.object_names():
-        obj = store.get_object(name)
-        if obj is not None:
-            objects[name] = obj
-    function_records = {}
-    indirect_records = {}
-    for name in store.block_names():
-        block = store.fetch_block(name)
-        if block is None:
-            continue
-        if block.function_record is not None:
-            function_records[name] = block.function_record
-        if block.indirect_record is not None:
-            indirect_records[name] = block.indirect_record
-    return {
-        "objects": objects,
-        "function_records": function_records,
-        "indirect_records": indirect_records,
-    }
-
-
-def _remap_masks(
-    universe: ObjectUniverse, target_names: list[str]
-) -> list[int]:
-    """Worker target-space bit -> coordinator target-space bit."""
-    target_id = universe.target_id
-    return [target_id(name) for name in target_names]
-
-
 def _merge_mask_outputs(
     universe: ObjectUniverse,
     outputs: list[tuple[list[str], dict[str, int]]],
@@ -773,8 +215,9 @@ def _merge_mask_outputs(
     prefix, so pooled bits pass through untouched)."""
     merged_masks: dict[str, int] = {}
     intern = universe.intern
+    target_id = universe.target_id
     for target_names, masks in outputs:
-        remap = _remap_masks(universe, target_names)
+        remap = [target_id(name) for name in target_names]
         ident = 0
         for j, v in enumerate(remap):
             if v != j:
@@ -786,62 +229,6 @@ def _merge_mask_outputs(
                 merged_masks.get(name, 0) | _remap_mask(mask, remap, ident)
             )
     return merged_masks
-
-
-def _merge_outputs(
-    store: ConstraintStore,
-    solver: str,
-    plan: ShardPlan,
-    rounds: int,
-    outputs: list[dict],
-    summed: dict[str, int],
-) -> PointsToResult:
-    """Remap per-worker masks through one universe and union by name."""
-    universe = ObjectUniverse(store)
-    target_id = universe.target_id
-    for pooled in plan.target_pool:
-        target_id(pooled)
-    merged_masks = _merge_mask_outputs(
-        universe,
-        [(out["target_names"], out["masks"]) for out in outputs],
-    )
-
-    stats = SolverStats(solver=solver)
-    for k, v in summed.items():
-        setattr(stats, k, v)
-    stats.interned_objects = len(universe)
-    stats.interned_targets = universe.target_count
-    stats.bitset_words = sum(
-        bitset_words(mask) for mask in merged_masks.values()
-    )
-    stats.absorb_load_stats(store.stats)
-    stats.publish()
-
-    pts = LazyPointsTo(merged_masks, universe)
-    pointers = sum(1 for m in merged_masks.values() if m)
-    relations = sum(m.bit_count() for m in merged_masks.values())
-    if EVENTS:
-        EVENTS.emit(ShardMergeEvent(
-            solver=solver, shards=len(plan.shards), rounds=rounds,
-            pointers=pointers, relations=relations,
-        ))
-    objects = {}
-    for name in merged_masks:
-        obj = store.get_object(name)
-        if obj is not None:
-            objects[name] = obj
-    return PointsToResult(
-        solver=solver,
-        pts=pts,
-        metrics=stats,
-        load_stats=store.stats,
-        objects=objects,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Region-scoped retraction re-solve (serve-layer warm path, ROADMAP item 1)
-# ---------------------------------------------------------------------------
 
 
 def solve_retracted(
@@ -860,13 +247,12 @@ def solve_retracted(
     regions (:func:`plan_regions`); a region is **dirty** iff it contains
     a touched name.  For every *clean* region the old fixpoint restricted
     to its names is already the new fixpoint — no fact mentioning those
-    names changed, and no points-to fact can cross a region boundary (the
-    same independence whole-region sharding relies on, for all five
-    solvers) — so its previous masks are kept verbatim.  Dirty regions
-    are cold-solved as one :class:`~repro.cla.slice.StoreSlice`; names
-    that vanished from the store (in no region at all) are dropped.  Kept
-    and re-solved masks merge through one coordinator universe exactly
-    like shard outputs.
+    names changed, and no points-to fact can cross a region boundary, for
+    any of the four solvers — so its previous masks are kept verbatim.
+    Dirty regions are cold-solved as one
+    :class:`~repro.cla.slice.StoreSlice`; names that vanished from the
+    store (in no region at all) are dropped.  Kept and re-solved masks
+    merge by name through one universe.
 
     Returns ``(result, info)`` where ``info`` reports the scope of the
     invalidation: ``regions``, ``dirty_regions``, ``kept_names``,
@@ -912,7 +298,7 @@ def solve_retracted(
     outputs: list[tuple[list[str], dict[str, int]]] = [
         (list(prev.pts.universe.target_names), keep),
     ]
-    summed = {k: 0 for k in _SUMMED_STATS}
+    stats = SolverStats(solver=cls.name)
     if dirty_roots:
         dirty_solver = cls(
             slice_store(store, dirty_statics, dirty_rows), **solver_kwargs
@@ -922,13 +308,10 @@ def solve_retracted(
             list(dirty_result.pts.universe.target_names),
             dict(dirty_result.pts.masks()),
         ))
-        for k in _SUMMED_STATS:
-            summed[k] += getattr(dirty_result.stats, k)
+        for k in _WORK_STATS:
+            setattr(stats, k, getattr(dirty_result.stats, k))
     merged_masks = _merge_mask_outputs(universe, outputs)
 
-    stats = SolverStats(solver=cls.name)
-    for k, v in summed.items():
-        setattr(stats, k, v)
     stats.interned_objects = len(universe)
     stats.interned_targets = universe.target_count
     stats.bitset_words = sum(

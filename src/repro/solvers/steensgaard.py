@@ -54,9 +54,6 @@ class _Ecr:
         self.pointee: "_Ecr | None" = None
         self.lvals = 0  # target-space bitmask of address-taken objects
 
-    def lval_names(self, universe) -> frozenset[str]:
-        return universe.decode(self.lvals)
-
 
 class SteensgaardSolver(BaseSolver):
     """Unification-based points-to analysis on the CLA database."""

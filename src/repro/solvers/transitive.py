@@ -20,10 +20,9 @@ interned to dense ids through the shared
 :class:`~repro.ir.universe.ObjectUniverse`; the ingested copy graph
 arrives as packed CSR adjacency; both the per-node successor sets and the
 points-to/delta sets are int bitmasks, so propagation is word-parallel
-``|``/``& ~`` instead of per-element set algebra.
-:class:`~repro.solvers.bitvector.BitVectorSolver` subclasses this solver
-unchanged — with bitsets in the core there is nothing left for it to do
-differently.
+``|``/``& ~`` instead of per-element set algebra.  That int-bitmask
+core is §4's "implementation based on bit-vectors"; it needs no solver
+class of its own.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ class TransitiveSolver(BaseSolver):
         return self.finish_partial()
 
     def solve_partial(self) -> None:
-        """Drain the worklist to a (local) fixpoint; resumable."""
+        """Drain the worklist to a fixpoint; resumable."""
         if not self._started:
             self._started = True
             self._emit_begin()
@@ -214,30 +213,10 @@ class TransitiveSolver(BaseSolver):
 
         self._emit_round()  # the final (possibly partial) pop batch
 
-    def ingest_facts(self, facts) -> None:
-        """Boundary facts: ``target ∈ pts(pointer)`` base assignments."""
-        universe = self.universe
-        intern = universe.intern
-        target_id = universe.target_id
-        for pointer, target in facts:
-            self._add_pts(intern(pointer), 1 << target_id(target))
-
     def ingest_fact_masks(self, masks: dict[str, int]) -> None:
         intern = self.universe.intern
         for pointer, mask in masks.items():
             self._add_pts(intern(pointer), mask)
-
-    def boundary_masks(self, names) -> dict[str, int]:
-        out = {}
-        id_of = self.universe.id_of
-        pts = self._pts
-        for name in names:
-            node = id_of(name)
-            if node is not None:
-                mask = pts.get(node, 0)
-                if mask:
-                    out[name] = mask
-        return out
 
     def finish_partial(self) -> PointsToResult:
         self.store.discard(self.metrics.constraints)

@@ -13,9 +13,9 @@ the growing constraint database — the same shape as the paper's own
 compile-then-analyze split (§4).
 
 The chunks are independent mini-programs (each has its own globals,
-structs, functions, and funcptrs), which makes the streamed store the
-best case for the sharded solver: the partitioner sees thousands of
-closed regions.  MLoC/s numbers from :mod:`benchmarks.bench_mloc` and
+structs, functions, and funcptrs), so the streamed store partitions
+into at least one closed flow region per chunk
+(:func:`repro.solvers.plan_regions`).  MLoC/s numbers from :mod:`benchmarks.bench_mloc` and
 ``repro-cla report`` divide *solver* seconds into the streamed source
 lines, matching the paper's metric.
 """

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cfront.source import Location
 from repro.cla import objfile as F
-from repro.cla.objfile import ClaFormatError, FormatError, name_hash
+from repro.cla.objfile import ClaFormatError, name_hash
 from repro.cla.reader import DatabaseStore, ObjectFileReader
 from repro.cla.store import trigger_object
 from repro.cla.writer import ObjectFileWriter
@@ -87,13 +87,13 @@ class TestHeader:
         path = str(tmp_path / "junk.o")
         with open(path, "wb") as f:
             f.write(b"NOTCLA__" + b"\x00" * 64)
-        with pytest.raises(FormatError):
+        with pytest.raises(ClaFormatError):
             ObjectFileReader(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = str(tmp_path / "empty.o")
         open(path, "wb").close()
-        with pytest.raises(FormatError):
+        with pytest.raises(ClaFormatError):
             ObjectFileReader(path)
 
     def test_all_sections_present(self, tmp_path):
@@ -388,9 +388,6 @@ class TestCorruptDatabases:
         with open(path, "wb") as f:
             f.write(bytes(range(256)) * 2)
         self.expect_format_error(path, "bad magic")
-
-    def test_legacy_alias_preserved(self):
-        assert FormatError is ClaFormatError
 
 
 # -- property-based round trip ------------------------------------------------

@@ -347,15 +347,7 @@ class TestTracerAmbientContext:
         a.__exit__(None, None, None)  # double exit: must not raise
 
 
-class TestMetricsShim:
-    def test_shim_reexports_engine_obs(self):
-        import repro.metrics as shim
-        from repro.engine import obs
-
-        assert shim.measure is obs.measure
-        assert shim.Measurement is obs.Measurement
-        assert shim.format_table is obs.format_table
-
+class TestMeasure:
     def test_measure_still_works(self):
         m = measure(lambda: 21 * 2)
         assert m.result == 42

@@ -1,10 +1,9 @@
 """SolverStats: the uniform per-solver stats record (ISSUE tentpole).
 
-The contract under test: all five solvers fill the *same* schema through
+The contract under test: all four solvers fill the *same* schema through
 the shared hook in ``repro.solvers.base``, the Table 3 load-accounting
 columns read from the stats record are identical to the store's own
-accounting, and the legacy ``SolverMetrics``/``.metrics`` names keep
-working.
+accounting, and the legacy ``.metrics`` attribute name keeps working.
 """
 
 import pytest
@@ -68,7 +67,7 @@ class TestUniformStats:
             fields = result.stats.counter_fields()
             assert all(isinstance(v, int) for v in fields.values())
             keys.add(tuple(sorted(fields)))
-        assert len(keys) == 1  # one schema, not five
+        assert len(keys) == 1  # one schema, not one per solver
 
     def test_solver_and_result_share_one_record(self, solver_name):
         store = fresh_store()
@@ -98,18 +97,6 @@ class TestUniformStats:
 
 
 class TestStatsRecord:
-    def test_solvermetrics_alias_is_deprecated(self):
-        # The alias is gone from the public namespace but importing it
-        # still resolves (to SolverStats) for one release, with a warning.
-        import repro.solvers
-        import repro.solvers.base
-
-        assert "SolverMetrics" not in repro.solvers.__all__
-        with pytest.warns(DeprecationWarning, match="SolverMetrics"):
-            assert repro.solvers.base.SolverMetrics is SolverStats
-        with pytest.warns(DeprecationWarning, match="SolverMetrics"):
-            assert repro.solvers.SolverMetrics is SolverStats
-
     def test_iterations_alias(self):
         stats = SolverStats(rounds=7)
         assert stats.iterations == 7

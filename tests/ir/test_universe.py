@@ -203,7 +203,7 @@ class TestCSRGraph:
         assert g.edge_count == 0
 
     def test_duplicate_edges_are_dropped(self):
-        """Regression: linked units and shard seams repeat COPY rows;
+        """Regression: linked units repeat COPY rows;
         duplicates must collapse to one edge (first occurrence keeps its
         per-source position) or degree/edge_count inflate and the same
         propagation retries every round."""
@@ -247,54 +247,6 @@ class TestConstraintBatch:
         b = u.id_of("b")
         assert csr.edge_count == 2
         assert sorted(u.name_of(d) for d in csr.row(b)) == ["a", "c"]
-
-
-class TestTempNamespaces:
-    """Fresh temps across shard universes (the merge-collision hazard).
-
-    Every shard worker solves in its own ObjectUniverse; the merge keys
-    facts by *name*.  Under the old scheme each universe counted
-    ``$sl0, $sl1, …`` independently, so two shards' unrelated STORE_LOAD
-    split temps carried the same name and would conflate at any
-    name-keyed seam.  ``temp_namespace`` (set to ``"<shard>."`` by the
-    shard workers) makes the name streams disjoint."""
-
-    @staticmethod
-    def _temps(namespace: str, count: int = 3) -> set[str]:
-        u = ObjectUniverse()
-        u.temp_namespace = namespace
-        return {u.fresh_temp_name() for _ in range(count)}
-
-    def test_unqualified_universes_collide(self):
-        # The failure mode the namespace exists to prevent: identical
-        # default streams in independent universes.
-        assert self._temps("") == self._temps("")
-
-    def test_shard_namespaces_are_disjoint(self):
-        a, b = self._temps("0."), self._temps("1.")
-        assert not (a & b)
-
-    def test_merge_keeps_namespaced_temps_distinct(self):
-        # Name-keyed union of two shards' maps: namespaced temps stay
-        # separate entries; unqualified ones overwrite each other.
-        shard_maps = []
-        for ns in ("0.", "1."):
-            u = ObjectUniverse()
-            u.temp_namespace = ns
-            shard_maps.append({u.fresh_temp_name(): ns})
-        merged: dict[str, str] = {}
-        for m in shard_maps:
-            merged.update(m)
-        assert len(merged) == 2
-
-        unqualified = []
-        for ns in ("0.", "1."):
-            u = ObjectUniverse()
-            unqualified.append({u.fresh_temp_name(): ns})
-        collided: dict[str, str] = {}
-        for m in unqualified:
-            collided.update(m)
-        assert len(collided) == 1  # the old scheme's silent conflation
 
 
 # -- the oracle gate: every solver, on the shared integer core -------------

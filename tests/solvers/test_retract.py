@@ -5,20 +5,16 @@ The contract: after any constraint delta, re-solving only the regions a
 changed fact touches — keeping every clean region's masks verbatim —
 yields the *same* fixpoint as a cold solve of the new store, for every
 solver.  This suite pins that bit-identity on the synthetic profiles,
-checks the partition invariants ``plan_shards`` now builds on, and
-exercises the ``retract_names`` seam directly.
+checks the partition invariants retraction relies on, and exercises the
+``retract_names`` seam directly.
 """
 
 import pytest
 
 from repro.checker import check_result
 from repro.cla.store import MemoryStore, constraint_signature, diff_signatures
-from repro.solvers import (
-    SOLVERS,
-    plan_regions,
-    plan_shards,
-    solve_retracted,
-)
+from repro.ir.primitives import PrimitiveKind
+from repro.solvers import SOLVERS, plan_regions, solve_retracted
 from repro.synth import generate
 
 SCALE = 0.02
@@ -56,16 +52,42 @@ def retract_reference(old_units, new_units, solver):
 
 class TestPlanRegions:
     def test_rows_partition_exactly(self):
+        for profile in ("nethack", "gcc", "lucent"):
+            store = MemoryStore(units(profile))
+            plan = plan_regions(store)
+            assert plan.total_rows == sum(plan.region_weight.values())
+            assert plan.regions == len(plan.region_weight) > 0
+            expected_rows = len(store.static_assignments()) + sum(
+                len(store.load_block(name).assignments)
+                for name in store.block_names()
+            )
+            assert plan.total_rows == expected_rows
+            # Every block lands in exactly one region, and every static
+            # row in exactly one region's statics.
+            seen = set()
+            for blocks in plan.region_blocks.values():
+                for name in blocks:
+                    assert name not in seen
+                    seen.add(name)
+            assert seen == set(store.block_names())
+            assert sum(
+                len(rows) for rows in plan.region_statics.values()
+            ) == len(store.static_assignments())
+
+    def test_target_pool_matches_addr_order(self):
+        """The target pool is exactly the ADDR sources, store order,
+        first occurrence — the numbering the retraction merge
+        pre-interns so kept masks pass through untranslated."""
         store = MemoryStore(units("nethack"))
         plan = plan_regions(store)
-        assert plan.total_rows == sum(plan.region_weight.values())
-        assert plan.regions == len(plan.region_weight) > 0
-        # Every block lands in exactly one region.
-        seen = set()
-        for blocks in plan.region_blocks.values():
-            for name in blocks:
-                assert name not in seen
-                seen.add(name)
+        seen: list[str] = []
+        rows = list(store.static_assignments())
+        for name in store.block_names():
+            rows.extend(store.load_block(name).assignments)
+        for a in rows:
+            if a.kind is PrimitiveKind.ADDR and a.src not in seen:
+                seen.append(a.src)
+        assert list(plan.target_pool) == seen
 
     def test_region_of_is_read_only(self):
         store = MemoryStore(units("nethack"))
@@ -76,18 +98,6 @@ class TestPlanRegions:
         some_name = next(iter(plan.uf.parent))
         root = plan.region_of(some_name)
         assert root in plan.region_weight
-
-    @pytest.mark.parametrize("shards", (1, 3))
-    def test_plan_shards_accepts_prebuilt_regions(self, shards):
-        store = MemoryStore(units("burlap"))
-        regions = plan_regions(store)
-        fresh = plan_shards(store, shards)
-        reused = plan_shards(store, shards, regions=regions)
-        assert fresh.total_rows == reused.total_rows
-        assert fresh.boundary == reused.boundary
-        assert fresh.regions == reused.regions
-        assert [s.rows for s in fresh.shards] == \
-            [s.rows for s in reused.shards]
 
 
 class TestRetractBitIdentity:
