@@ -69,7 +69,9 @@ def parse_c(
     pp = Preprocessor(resolver=resolver, predefined=predefined,
                       tolerant=tolerant)
     tokens = pp.preprocess(SourceFile(filename, text))
-    return parse_tokens(tokens, filename, tolerant=tolerant)
+    if pp.prefix is not None and pp.prefix.parsed:
+        pp.resolver.prefix_hits += 1
+    return parse_tokens(tokens, filename, tolerant=tolerant, prefix=pp.prefix)
 
 
 def parse_file(

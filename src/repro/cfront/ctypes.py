@@ -10,8 +10,9 @@ narrowing-conversion reasoning.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+from .source import Location
 
 
 class CType:
@@ -137,12 +138,17 @@ class Field:
         return f"{self.type} {self.name}{suffix}"
 
 
-_anon_counter = itertools.count()
+def anon_tag(kind: str, location: Location, ordinal: int = 0) -> str:
+    """The tag of an anonymous struct/union/enum defined at ``location``.
 
-
-def fresh_anon_tag(kind: str) -> str:
-    """A unique tag for an anonymous struct/union/enum."""
-    return f"<anonymous-{kind}-{next(_anon_counter)}>"
+    Named from where the type is defined, not from a counter, so every
+    unit that includes one header names the header's anonymous types
+    alike (their fields are link-time objects) and recompiling a unit
+    reproduces its object bytes.  ``ordinal`` tells apart the anonymous
+    types one macro expansion defines at a single location.
+    """
+    suffix = f"#{ordinal}" if ordinal else ""
+    return f"<anonymous-{kind}@{location}{suffix}>"
 
 
 @dataclass(eq=False)

@@ -18,6 +18,8 @@ legacy code bases.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import cast as A
 from .ctypes import (
     ArrayType,
@@ -32,12 +34,16 @@ from .ctypes import (
     StructType,
     UnionType,
     VoidType,
-    fresh_anon_tag,
+    anon_tag,
     with_qualifiers,
 )
 from .errors import ParseError
 from .lexer import Token, TokenKind
-from .preprocessor import char_constant_value, parse_int_constant
+from .preprocessor import (
+    IncludeExpansion,
+    char_constant_value,
+    parse_int_constant,
+)
 from .source import Location
 
 KEYWORDS = {
@@ -87,15 +93,39 @@ class _Scope:
         self.tags: dict[str, CType] = {}
         self.enum_constants: dict[str, int] = {}
 
+    def copy(self) -> "_Scope":
+        scope = _Scope()
+        scope.names = dict(self.names)
+        scope.tags = dict(self.tags)
+        scope.enum_constants = dict(self.enum_constants)
+        return scope
+
+
+@dataclass(frozen=True)
+class _ParsedPrefix:
+    """The parser's state after a unit's cached header prefix: the
+    external declarations so far, the file scope and the anonymous tag
+    ordinals (copied in and out: the parser mutates its own)."""
+
+    items: tuple
+    scope: _Scope
+    anon_ordinals: dict
+
 
 class Parser:
     def __init__(self, tokens: list[Token], filename: str = "<unit>",
-                 tolerant: bool = False):
+                 tolerant: bool = False,
+                 prefix: IncludeExpansion | None = None):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
         self.scopes: list[_Scope] = [_Scope()]
         self.current_function: str | None = None
+        #: Anonymous tags defined so far per location (see :meth:`_anon_tag`).
+        self._anon_ordinals: dict[tuple[str, Location], int] = {}
+        #: A cached include that ``tokens`` start with (see
+        #: :func:`parse_tokens`).
+        self.prefix = prefix
         #: Tolerant mode: external declarations that fail to parse are
         #: skipped (panic-mode recovery to the next ';' or balanced '}')
         #: and recorded as diagnostics — million-line legacy code bases
@@ -198,6 +228,11 @@ class Parser:
     def _declare_tag(self, tag: str, t: CType) -> None:
         self.scopes[-1].tags[tag] = t
 
+    def _anon_tag(self, kind: str, location: Location) -> str:
+        ordinal = self._anon_ordinals.get((kind, location), 0)
+        self._anon_ordinals[(kind, location)] = ordinal + 1
+        return anon_tag(kind, location, ordinal)
+
     def _declare_enum_constant(self, name: str, value: int) -> None:
         self.scopes[-1].enum_constants[name] = value
         self._declare(name, None)
@@ -250,7 +285,11 @@ class Parser:
             filename=self.filename,
             location=Location(self.filename, 1),
         )
+        snapshot_at = self._resume_prefix(unit)
         while self._peek().kind is not TokenKind.EOF:
+            if self.pos == snapshot_at:
+                self._snapshot_prefix(unit.items)
+                snapshot_at = -1
             if self._accept_punct(";"):
                 continue  # stray semicolon at file scope
             if not self.tolerant:
@@ -262,8 +301,47 @@ class Parser:
             except ParseError as error:
                 self.diagnostics.append(error)
                 self._recover_to_top_level(start)
+        if snapshot_at >= 0:
+            self._snapshot_prefix(unit.items)
         unit.diagnostics = list(self.diagnostics)
         return unit
+
+    def _resume_prefix(self, unit: A.TranslationUnit) -> int:
+        """Restore the state a cached prefix left, or say where to save it.
+
+        Returns the token index at which to snapshot the state (-1 when
+        there is nothing to snapshot)."""
+        prefix = self.prefix
+        if prefix is None or prefix.parsed is False:
+            return -1
+        if prefix.parsed is None:
+            return len(prefix.tokens)
+        state: _ParsedPrefix = prefix.parsed
+        self.scopes[0] = state.scope.copy()
+        self._anon_ordinals = dict(state.anon_ordinals)
+        unit.items = list(state.items)
+        self.pos = len(prefix.tokens)
+        return -1
+
+    def _snapshot_prefix(self, items: list) -> None:
+        """Record the state after the prefix if another unit may resume
+        from it: the prefix must end on an external declaration boundary,
+        parse cleanly, and leave no file-scope struct/union incomplete
+        (a later definition completes such a type in place, see
+        :meth:`_lookup_tag_local_or_new`, which would reach into every
+        unit sharing it)."""
+        scope = self.scopes[0]
+        reusable = (
+            self.pos == len(self.prefix.tokens)
+            and not self.diagnostics
+            and all(t.is_complete for t in scope.tags.values()
+                    if isinstance(t, StructType))
+        )
+        self.prefix.parsed = _ParsedPrefix(
+            items=tuple(items),
+            scope=scope.copy(),
+            anon_ordinals=dict(self._anon_ordinals),
+        ) if reusable else False
 
     def _recover_to_top_level(self, failed_start: int) -> None:
         """Panic-mode recovery: skip past the broken declaration.
@@ -565,7 +643,7 @@ class Parser:
             if tag is not None:
                 existing = self._lookup_tag_local_or_new(tag, cls)
             else:
-                existing = cls(tag=fresh_anon_tag(cls.kind_name))
+                existing = cls(tag=self._anon_tag(cls.kind_name, kw.location))
             self._advance()  # '{'
             existing.fields = self._parse_struct_declaration_list()
             self._expect_punct("}")
@@ -637,7 +715,7 @@ class Parser:
             tag = tok.value
             self.pos += 1
         if self._accept_punct("{"):
-            t = EnumType(tag=tag or fresh_anon_tag("enum"))
+            t = EnumType(tag=tag or self._anon_tag("enum", kw.location))
             next_value = 0
             while not self._check_punct("}"):
                 name_tok = self._expect_ident()
@@ -1318,6 +1396,14 @@ def _approx_sizeof(t: CType) -> int:
 
 
 def parse_tokens(tokens: list[Token], filename: str = "<unit>",
-                 tolerant: bool = False) -> A.TranslationUnit:
-    """Parse a preprocessed token stream into a translation unit."""
-    return Parser(tokens, filename, tolerant=tolerant).parse_translation_unit()
+                 tolerant: bool = False,
+                 prefix: IncludeExpansion | None = None) -> A.TranslationUnit:
+    """Parse a preprocessed token stream into a translation unit.
+
+    ``prefix`` is the cached include ``tokens`` start with
+    (:attr:`Preprocessor.prefix <repro.cfront.preprocessor.Preprocessor.prefix>`):
+    the first unit parsed after it saves the parser's state at its end,
+    and later units resume there instead of parsing it again.
+    """
+    parser = Parser(tokens, filename, tolerant=tolerant, prefix=prefix)
+    return parser.parse_translation_unit()

@@ -19,10 +19,10 @@ than shelling out to ``cpp``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreprocessorError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Lexer, Token, TokenKind, tokenize
 from .source import Location, SourceFile
 
 #: Headers provided by the preprocessor itself so that code bases using the
@@ -212,10 +212,22 @@ class Macro:
     params: list[str] | None = None  # None => object-like
     variadic: bool = False
     location: Location = Location.unknown()
+    _identity: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def is_function_like(self) -> bool:
         return self.params is not None
+
+    def identity(self) -> tuple:
+        """Everything an expansion reads from this definition, hashable:
+        two macro tables with equal identities expand every token alike."""
+        if self._identity is None:
+            params = None if self.params is None else tuple(self.params)
+            body = tuple((t.kind, t.value, t.spaced, t.no_expand)
+                         for t in self.body)
+            self._identity = (self.name, params, self.variadic, body)
+        return self._identity
 
     def same_definition(self, other: "Macro") -> bool:
         if (self.params, self.variadic) != (other.params, other.variadic):
@@ -244,13 +256,20 @@ class IncludeResolver:
         self.include_dirs = list(include_dirs or [])
         self.virtual_files = dict(virtual_files or {})
         self.use_builtin_headers = use_builtin_headers
-        #: Raw token streams of included files, one entry per filename
-        #: holding ``(text, tolerant, tokens)``: headers are tokenized
-        #: once per project instead of once per including unit, and an
-        #: edited header replaces its entry.  Safe because tokens are
-        #: never mutated downstream — the preprocessor builds *new*
-        #: tokens for macro expansions.
-        self.token_cache: dict[str, tuple[str, bool, list]] = {}
+        #: Included files, one entry per filename holding ``(text,
+        #: tolerant, tokens, expansions)``: the raw token stream, and
+        #: the file's preprocessed output under each recent entry state
+        #: (:class:`IncludeExpansion`, keyed by the macro table and the
+        #: ``#pragma once`` set at entry).  A header is thus tokenized
+        #: and expanded once per resolver instead of once per including
+        #: unit, and an edited header replaces its entry.  Safe because
+        #: tokens are never mutated downstream — the preprocessor builds
+        #: *new* tokens for macro expansions.
+        self.token_cache: dict[str, tuple[str, bool, list, dict]] = {}
+        #: Includes served from ``expansions`` and units whose parse
+        #: resumed after a cached header prefix (telemetry).
+        self.include_cache_hits = 0
+        self.prefix_hits = 0
 
     def resolve(
         self, name: str, angled: bool, including_file: str
@@ -274,6 +293,47 @@ class IncludeResolver:
         return None
 
 
+@dataclass(slots=True)
+class IncludeExpansion:
+    """One included file's preprocessed output under one entry state.
+
+    Valid for any later ``#include`` of the same text in the same
+    tolerant mode whose macro table and ``#pragma once`` set at entry are
+    equal to the ones it was made under (its key in the token cache
+    entry), provided every nested ``#include`` it resolved still resolves
+    to the same file and text.  A hit replays the effects on the
+    including unit's state: ``defined`` macros (new or redefined
+    objects), ``undefined`` names and ``pragma_once`` additions.
+    """
+
+    tokens: list[Token]
+    defined: dict[str, Macro]
+    undefined: tuple[str, ...]
+    pragma_once: frozenset[str]
+    #: ``(name, angled, including_file, filename, text)`` per nested
+    #: ``#include`` resolved while expanding, at any depth.
+    includes: list[tuple]
+    #: How many include levels the expansion nested below this file.
+    depth: int
+    #: The parser's state after these tokens when they open a unit:
+    #: None until a unit has been parsed, then a snapshot or False.
+    parsed: object = None
+
+
+class _Recording:
+    """What a cache miss's expansion resolved: its nested includes."""
+
+    __slots__ = ("includes", "depth")
+
+    def __init__(self):
+        self.includes: list[tuple] = []
+        self.depth = 0
+
+    def absorb(self, includes: list[tuple], depth: int) -> None:
+        self.includes.extend(includes)
+        self.depth = max(self.depth, depth + 1)
+
+
 class _ConditionalState:
     """Tracks one #if/#elif/#else/#endif nesting level."""
 
@@ -283,6 +343,12 @@ class _ConditionalState:
         self.was_active = was_active  # were we emitting before this #if?
         self.taken = taken  # has any branch of this group been taken?
         self.seen_else = False
+
+
+#: Expansions kept per cached header: enough for the few entry states
+#: one project includes a header under, bounded for a long-lived daemon
+#: whose edits keep changing them.
+_MAX_EXPANSIONS = 8
 
 
 class Preprocessor:
@@ -303,6 +369,12 @@ class Preprocessor:
         self.macros: dict[str, Macro] = {}
         self._include_depth = 0
         self._pragma_once: set[str] = set()
+        self._recording: list[_Recording] = []
+        #: The cached expansion of the unit's first include when that
+        #: include is the unit's first token-producing line: the output
+        #: then starts with exactly ``prefix.tokens``, and the parser can
+        #: resume after them (:func:`repro.cfront.parser.parse_tokens`).
+        self.prefix: IncludeExpansion | None = None
         defaults = {"__STDC__": "1", "__STDC_VERSION__": "199901L", "__repro_cla__": "1"}
         defaults.update(predefined or {})
         for name, value in defaults.items():
@@ -320,7 +392,12 @@ class Preprocessor:
 
     def preprocess(self, source: SourceFile) -> list[Token]:
         """Fully preprocess ``source``; result ends with one EOF token."""
-        out = self._process_file(source)
+        self.prefix = None
+        # A main unit is lexed once per compile anyway, and caching every
+        # edited revision of it would grow a long-lived workspace without
+        # bound: only included files go through the token cache.
+        tokens = Lexer(source, tolerant=self.tolerant).tokens()
+        out = self._scan(source, tokens)
         out.append(Token(TokenKind.EOF, "", Location(source.filename, 0)))
         return out
 
@@ -329,29 +406,73 @@ class Preprocessor:
 
     # -- file / line scanning --------------------------------------------------
 
-    def _process_file(self, source: SourceFile) -> list[Token]:
+    def _include(self, source: SourceFile) -> IncludeExpansion:
+        """Preprocess an included file, through the resolver's cache."""
         if self._include_depth > self.MAX_INCLUDE_DEPTH:
             raise PreprocessorError(
                 f"#include nested too deeply (> {self.MAX_INCLUDE_DEPTH})",
                 Location(source.filename, 1),
             )
-        from .lexer import Lexer
-
-        # Only included files are cached: a main unit is lexed once per
-        # compile anyway, and caching every edited revision of it would
-        # grow a long-lived workspace without bound.
-        cache = getattr(self.resolver, "token_cache", None) \
-            if self._include_depth else None
-        tokens = None
-        if cache is not None:
-            cached = cache.get(source.filename)
-            if cached is not None and cached[0] == source.text \
-                    and cached[1] == self.tolerant:
-                tokens = cached[2]
-        if tokens is None:
+        cache = self.resolver.token_cache
+        entry = cache.get(source.filename)
+        if entry is None or entry[0] != source.text \
+                or entry[1] != self.tolerant:
             tokens = Lexer(source, tolerant=self.tolerant).tokens()
-            if cache is not None:
-                cache[source.filename] = (source.text, self.tolerant, tokens)
+            entry = (source.text, self.tolerant, tokens, {})
+            cache[source.filename] = entry
+        expansions = entry[3]
+        key = (frozenset(m.identity() for m in self.macros.values()),
+               frozenset(self._pragma_once))
+        expansion = expansions.get(key)
+        if expansion is not None and self._replay(expansion):
+            self.resolver.include_cache_hits += 1
+        else:
+            expansion = self._expand(source, entry[2])
+            if len(expansions) >= _MAX_EXPANSIONS:
+                del expansions[next(iter(expansions))]
+            expansions[key] = expansion
+        if self._recording:
+            self._recording[-1].absorb(expansion.includes, expansion.depth)
+        return expansion
+
+    def _expand(self, source: SourceFile, tokens: list[Token]) -> IncludeExpansion:
+        """Preprocess an included file, recording its effects."""
+        macros_before = dict(self.macros)
+        once_before = frozenset(self._pragma_once)
+        recording = _Recording()
+        self._recording.append(recording)
+        try:
+            out = self._scan(source, tokens)
+        finally:
+            self._recording.pop()
+        return IncludeExpansion(
+            tokens=out,
+            defined={name: macro for name, macro in self.macros.items()
+                     if macros_before.get(name) is not macro},
+            undefined=tuple(name for name in macros_before
+                            if name not in self.macros),
+            pragma_once=frozenset(self._pragma_once) - once_before,
+            includes=recording.includes,
+            depth=recording.depth,
+        )
+
+    def _replay(self, expansion: IncludeExpansion) -> bool:
+        """Apply a cached expansion's effects if it is still valid here."""
+        if self._include_depth + expansion.depth > self.MAX_INCLUDE_DEPTH:
+            return False  # expanding it again would raise: let it
+        for name, angled, including, filename, text in expansion.includes:
+            found = self.resolver.resolve(name, angled, including)
+            if found is None or found.filename != filename \
+                    or found.text != text:
+                return False
+        for name in expansion.undefined:
+            del self.macros[name]
+        self.macros.update(expansion.defined)
+        self._pragma_once |= expansion.pragma_once
+        return True
+
+    def _scan(self, source: SourceFile, tokens: list[Token]) -> list[Token]:
+        """Run one file's directives and expand its text lines."""
         out: list[Token] = []
         conditionals: list[_ConditionalState] = []
         i = 0
@@ -556,13 +677,20 @@ class Preprocessor:
         source = self.resolver.resolve(name, angled, loc.filename)
         if source is None:
             raise PreprocessorError(f"include file not found: {name}", loc)
+        if self._recording:
+            self._recording[-1].includes.append(
+                (name, angled, loc.filename, source.filename, source.text))
         if source.filename in self._pragma_once:
             return
+        opens_unit = self._include_depth == 0 and not out
         self._include_depth += 1
         try:
-            out.extend(self._process_file(source))
+            expansion = self._include(source)
         finally:
             self._include_depth -= 1
+        if opens_unit and expansion.tokens:
+            self.prefix = expansion
+        out.extend(expansion.tokens)
 
     # -- #if expression evaluation ----------------------------------------------
 

@@ -19,21 +19,21 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
 
 from ..cla.objfile import ClaFormatError
 from ..cla.reader import ObjectFileReader
 from ..engine.obs import Tracer
 from ..engine.pipeline import (
     CompileOptions,
+    HeaderCacheHits,
     Pipeline,
+    compile_in_worker,
+    compile_pool,
     compile_unit_to_path,
     resolve_jobs,
 )
 from ..solvers.base import PointsToResult
-
-#: Historical name for the parallel-build worker (now an engine concern).
-_compile_to_path = compile_unit_to_path
 
 
 class BuildError(Exception):
@@ -243,25 +243,27 @@ class Workspace:
         if pending:
             with self.pipeline.tracer.span(
                 "compile", files=len(pending), jobs=jobs
-            ):
+            ) as span:
+                hits = HeaderCacheHits(self.options)
                 if jobs > 1 and len(pending) > 1:
                     workers = min(jobs, len(pending))
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
+                    with compile_pool(self.options, workers) as pool:
                         futures = {}
                         for item in pending:
                             filename, entry, _key, object_path = item
                             futures[pool.submit(
-                                compile_unit_to_path, filename, entry.text,
-                                object_path, self.options,
+                                compile_in_worker, filename, entry.text,
+                                object_path,
                             )] = item
                         for future in as_completed(futures):
                             filename, entry, key, object_path = \
                                 futures[future]
                             try:
-                                future.result()
+                                _path, unit_hits = future.result()
                             except Exception as exc:
                                 failures.append((filename, exc))
                             else:
+                                hits.add(unit_hits)
                                 commit(filename, entry, key, object_path)
                 else:
                     for filename, entry, key, object_path in pending:
@@ -274,6 +276,7 @@ class Workspace:
                             failures.append((filename, exc))
                         else:
                             commit(filename, entry, key, object_path)
+                span.annotate(**hits.attrs())
         if failures:
             failures.sort(key=lambda pair: pair[0])
             raise BuildError(failures)

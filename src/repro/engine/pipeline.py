@@ -17,8 +17,9 @@ the one instrumented spine all entry points go through:
 
 Parallel compilation (§4: the architecture "supports separate and/or
 parallel compilation of collections of source files") is a Pipeline
-concern: any compile stage accepts ``jobs``; workers share nothing and
-only the cheap link phase is serial.
+concern: any compile stage accepts ``jobs``; each :func:`compile_pool`
+worker gets the options once and keeps its header caches for the whole
+build, and only the cheap link phase is serial.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ class CompileOptions:
     def resolver(self) -> IncludeResolver:
         """One shared resolver per options object.
 
-        Sharing matters: the resolver carries the include token cache, so
-        a multi-file project tokenizes each header once instead of once
-        per including unit.
+        Sharing matters: the resolver carries the header caches — each
+        included file's tokens, its preprocessed output per entry macro
+        state, and the parsed declarations of a unit-opening header — so
+        every unit compiled through these options after the first
+        reuses the shared headers' work.  Parallel builds get the same
+        reuse per worker process (:func:`compile_pool`).
         """
         cached = getattr(self, "_resolver", None)
         if cached is None:
@@ -83,8 +87,8 @@ class CompileOptions:
         return cached
 
     def __getstate__(self):
-        # The memoized resolver holds token caches that are pointless to
-        # ship to parallel-build workers; drop it from pickles.
+        # The memoized resolver's caches are per process; a worker that
+        # receives pickled options builds its own.
         state = dict(self.__dict__)
         state.pop("_resolver", None)
         return state
@@ -136,22 +140,79 @@ def compile_file(path: str, options: CompileOptions | None = None) -> UnitIR:
 def compile_unit_to_path(
     filename: str, text: str, object_path: str, options: CompileOptions
 ) -> str:
-    """Worker for parallel builds: compile one file, write its object.
-
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  The CLA
-    design is what makes this embarrassingly parallel (§4) — workers share
-    nothing and only the cheap link phase is serial.
-    """
+    """Compile one file and write its object file."""
     unit = compile_source(text, filename=filename, options=options)
     write_unit(unit, object_path, field_based=options.field_based)
     return object_path
 
 
-def _compile_unit_worker(
-    filename: str, text: str, options: CompileOptions
-) -> UnitIR:
-    """Worker for in-memory parallel compiles: returns the pickled IR."""
-    return compile_source(text, filename=filename, options=options)
+#: The build's options in a :func:`compile_pool` worker process, set
+#: once by the pool's initializer; their resolver, and so its header
+#: caches, live as long as the worker.
+_worker_options: CompileOptions | None = None
+
+
+def _init_compile_worker(options: CompileOptions) -> None:
+    global _worker_options
+    _worker_options = options
+
+
+def compile_pool(options: CompileOptions, workers: int) -> ProcessPoolExecutor:
+    """A process pool for parallel compiles under ``options``.
+
+    The options (with every virtual source file) go to each worker once,
+    at start-up, rather than with every task; a worker then compiles all
+    its units through one resolver, so the shared headers are
+    preprocessed and parsed once per worker.  Submit
+    :func:`compile_in_worker` tasks.  The CLA design is what makes this
+    embarrassingly parallel (§4) — units share no analysis state and
+    only the cheap link phase is serial.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_compile_worker,
+        initargs=(options,),
+    )
+
+
+def compile_in_worker(
+    filename: str, text: str, object_path: str | None = None
+) -> tuple[UnitIR | str, dict[str, int]]:
+    """A :func:`compile_pool` task: compile one unit under the pool's
+    options, to ``object_path`` (returning the path) or, without one,
+    to IR (returning the unit).  Also returns the unit's
+    :class:`HeaderCacheHits` attributes."""
+    options = _worker_options
+    hits = HeaderCacheHits(options)
+    if object_path is None:
+        result = compile_source(text, filename=filename, options=options)
+    else:
+        result = compile_unit_to_path(filename, text, object_path, options)
+    return result, hits.attrs()
+
+
+class HeaderCacheHits:
+    """A compile span's ``include_cache_hits``/``prefix_hits``: what
+    the options' resolver gained since this was made, plus the counts
+    pool workers report with their results (:meth:`add`)."""
+
+    def __init__(self, options: CompileOptions):
+        self._resolver = options.resolver()
+        self._start = self._now()
+        self._added = dict.fromkeys(self._start, 0)
+
+    def _now(self) -> dict[str, int]:
+        return {"include_cache_hits": self._resolver.include_cache_hits,
+                "prefix_hits": self._resolver.prefix_hits}
+
+    def add(self, counts: dict[str, int]) -> None:
+        for key, value in counts.items():
+            self._added[key] += value
+
+    def attrs(self) -> dict[str, int]:
+        now = self._now()
+        return {key: now[key] - self._start[key] + self._added[key]
+                for key in now}
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +278,20 @@ class Pipeline:
         items = sorted(sources.items())
         total = len(items)
         with self._stage("compile", files=total, jobs=jobs) as span:
+            hits = HeaderCacheHits(self.options)
             if jobs > 1 and total > 1:
                 workers = min(jobs, total)
                 results: list[UnitIR | None] = [None] * total
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with compile_pool(self.options, workers) as pool:
                     futures = {
-                        pool.submit(
-                            _compile_unit_worker, name, text, self.options
-                        ): i
+                        pool.submit(compile_in_worker, name, text): i
                         for i, (name, text) in enumerate(items)
                     }
                     done = 0
                     for f in as_completed(futures):
                         i = futures[f]
-                        unit = f.result()
+                        unit, unit_hits = f.result()
+                        hits.add(unit_hits)
                         results[i] = unit
                         done += 1
                         if EVENTS:
@@ -257,16 +318,19 @@ class Pipeline:
             span.annotate(
                 assignments=sum(len(u.assignments) for u in units),
                 objects=sum(len(u.objects) for u in units),
+                **hits.attrs(),
             )
         return units
 
     def compile_to_object(self, path: str, out_path: str) -> UnitIR:
         """The compile phase proper: source file -> CLA object file."""
         with self._stage("compile", files=1, jobs=1) as span:
+            hits = HeaderCacheHits(self.options)
             unit = compile_file(path, self.options)
             write_unit(unit, out_path, field_based=self.options.field_based)
             span.annotate(
-                assignments=len(unit.assignments), objects=len(unit.objects)
+                assignments=len(unit.assignments), objects=len(unit.objects),
+                **hits.attrs(),
             )
             if EVENTS:
                 EVENTS.emit(UnitCompiledEvent(
@@ -292,19 +356,18 @@ class Pipeline:
             with open(path, "r", errors="replace") as f:
                 texts.append(f.read())
         total = len(paths)
-        with self._stage("compile", files=total, jobs=jobs):
+        with self._stage("compile", files=total, jobs=jobs) as span:
+            hits = HeaderCacheHits(self.options)
             if jobs > 1 and total > 1:
                 workers = min(jobs, total)
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with compile_pool(self.options, workers) as pool:
                     futures = {
-                        pool.submit(
-                            compile_unit_to_path, path, text, out, self.options
-                        ): path
+                        pool.submit(compile_in_worker, path, text, out): path
                         for path, text, out in zip(paths, texts, out_paths)
                     }
                     done = 0
                     for f in as_completed(futures):
-                        f.result()
+                        hits.add(f.result()[1])
                         done += 1
                         if EVENTS:
                             EVENTS.emit(UnitCompiledEvent(
@@ -320,6 +383,7 @@ class Pipeline:
                         EVENTS.emit(UnitCompiledEvent(
                             file=path, index=i + 1, total=total,
                         ))
+            span.annotate(**hits.attrs())
         return out_paths
 
     # -- link stage ----------------------------------------------------------

@@ -13,9 +13,10 @@ from repro.cfront.ctypes import (
     UnionType,
     UnknownType,
     VoidType,
-    fresh_anon_tag,
+    anon_tag,
     with_qualifiers,
 )
+from repro.cfront.source import Location
 
 
 class TestScalars:
@@ -114,8 +115,14 @@ class TestStructs:
         assert UnionType(tag="U").kind_name == "union"
         assert "union U" in str(UnionType(tag="U"))
 
-    def test_fresh_anon_tags_unique(self):
-        assert fresh_anon_tag("struct") != fresh_anon_tag("struct")
+    def test_anon_tags_named_by_location(self):
+        here = Location("h.h", 3, 9)
+        assert anon_tag("struct", here) == anon_tag("struct", here)
+        assert anon_tag("struct", here).startswith("<anonymous")
+        assert anon_tag("struct", here) != anon_tag("struct", here, 1)
+        assert anon_tag("struct", here) != anon_tag("union", here)
+        assert anon_tag("struct", here) != \
+            anon_tag("struct", Location("h.h", 3, 10))
 
     def test_bitfield_render(self):
         f = Field("flags", IntType(), bitwidth=3)

@@ -159,6 +159,16 @@ class TestUpdates:
         stats = session.request("stats")["result"]
         assert stats["reloads"]["retract"] == 1
 
+    def test_updates_hit_the_header_caches(self, session, workspace):
+        resolver = workspace.options.resolver()
+        for text in (SOURCE_B_GROWN, SOURCE_B_GROWN + " int *later;"):
+            u = session.request("update", {"file": "b.c", "text": text})
+            assert u["result"]["compiled"] == 1
+        # The first in-process recompile fills the caches; the next one
+        # neither preprocesses nor parses defs.h again.
+        assert resolver.include_cache_hits == 1
+        assert resolver.prefix_hits == 1
+
     def test_new_file_via_update(self, session):
         u = session.request("update", {
             "file": "c.c",
